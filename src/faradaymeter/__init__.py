@@ -68,6 +68,7 @@ from .protocol import (
     closed_form_outcome,
     concurrence_from_ptotal,
     run_analytic,
+    stage_probabilities,
     target_final_state,
 )
 from .qstate import StateVector

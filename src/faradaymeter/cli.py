@@ -92,6 +92,11 @@ class SweepSpec:
             raise ConfigError(f"sweep.axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         if self.steps < 2:
             raise ConfigError(f"sweep.steps must be at least 2, got {self.steps!r}")
+        if self.axis == "eta_a" and not all(0.0 < v <= 1.0 for v in self.values()):
+            raise ConfigError(
+                f"an eta_a sweep must stay in (0, 1], got {self.start} to {self.stop}: "
+                "zero detection efficiency cannot be divided out"
+            )
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -235,8 +240,10 @@ def _config_from_mapping(data: dict) -> RunConfig:
         raise ConfigError(f"trials must be positive, got {trials}")
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if not 0.0 <= eta_a <= 1.0:
-        raise ConfigError(f"eta_a must lie in [0, 1], got {eta_a}")
+    if not 0.0 < eta_a <= 1.0:
+        raise ConfigError(
+            f"eta_a must lie in (0, 1], got {eta_a}: zero detection efficiency cannot be divided out"
+        )
     if not abs(sigma) < math.pi / 2.0:
         raise ConfigError(f"sigma must satisfy |sigma| < pi/2, got {sigma}")
 
@@ -476,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", choices=MODES, help="overrides the config mode")
     parser.add_argument("--trials", type=int, metavar="N")
     parser.add_argument("--seed", type=int, metavar="S")
-    parser.add_argument("--eta", type=float, metavar="X", help="detection efficiency in [0, 1]")
+    parser.add_argument("--eta", type=float, metavar="X", help="detection efficiency in (0, 1]")
     parser.add_argument("--sigma", type=float, metavar="X", help="coupled-phase error in radians")
     parser.add_argument("--out", metavar="PATH", help="also write the payload to this file")
     parser.add_argument(

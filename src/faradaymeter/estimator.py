@@ -20,8 +20,7 @@ import numpy as np
 
 from .faraday import FaradayPhases
 from .imperfect import ImperfectionParams, recover_concurrence
-from .protocol import ATOM_PLUS, QWP_HADAMARD, TwoPhotonState, parity_check, prepare_joint
-from .qstate import apply_single_qubit, project_qubit
+from .protocol import TwoPhotonState, stage_probabilities
 
 # Fixed per-trial block: six draws used, padded to 8 so each trial spans
 # exactly two Philox counter increments.
@@ -87,28 +86,15 @@ class EstimateReport:
 class TrialSampler:
     """Precomputed readout probabilities for one protocol configuration.
 
-    All trials start from the same prepared joint state, so the three
+    All trials start from the same prepared state, so the three
     conditional Born probabilities (each given that the earlier readouts
-    returned |+>) are computed once up front; sampling a trial then costs
-    only comparisons against uniform draws.
+    returned |+>) are computed once up front by
+    :func:`~faradaymeter.protocol.stage_probabilities`; sampling a trial
+    then costs only comparisons against uniform draws.
     """
 
     def __init__(self, state: TwoPhotonState, phases: FaradayPhases) -> None:
-        joint = prepare_joint(state)
-        joint = parity_check(joint, ("a1", "a2"), "atom1", phases)
-        joint = parity_check(joint, ("b1", "b2"), "atom2", phases)
-        self.p_plus1, joint = project_qubit(joint, "atom1", ATOM_PLUS)
-        self.p_plus2 = 0.0
-        self.p_plus3 = 0.0
-        if joint.empty:
-            return
-        self.p_plus2, joint = project_qubit(joint, "atom2", ATOM_PLUS)
-        if joint.empty:
-            return
-        joint = apply_single_qubit(joint, "a1", QWP_HADAMARD)
-        joint = apply_single_qubit(joint, "a2", QWP_HADAMARD)
-        joint = parity_check(joint, ("a1", "a2"), "atom3", phases)
-        self.p_plus3, _ = project_qubit(joint, "atom3", ATOM_PLUS)
+        self.p_plus1, self.p_plus2, self.p_plus3 = stage_probabilities(state, phases)
 
     def sample(self, rng, eta_a: float) -> TrialOutcome:
         """Play one trial, drawing lazily and stopping at the first failure."""
@@ -175,9 +161,10 @@ def estimate(config: TrialConfig, *, chunk_size: int = _DEFAULT_CHUNK) -> Estima
 
     ``chunk_size`` only bounds memory; any positive value produces the
     identical report because each trial's draws sit at a fixed counter
-    offset.  Nothing here raises on statistically awkward data: the
-    corrected estimate is computed with clamping so a noisy run still
-    yields a usable report.
+    offset.  Statistically awkward data does not raise: the corrected
+    estimate is computed with clamping so a noisy run still yields a
+    usable report.  A zero detection efficiency does raise
+    NonInvertibleError, since there is nothing to divide out.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size!r}")

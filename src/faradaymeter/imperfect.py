@@ -44,9 +44,12 @@ class ImperfectionParams:
         if not abs(self.sigma) < math.pi / 2.0:
             raise ValueError(f"phase error must satisfy |sigma| < pi/2, got {self.sigma!r}")
         if abs(self.sigma) >= _SOFT_SIGMA_BOUND:
+            # stacklevel 3 skips this method and the generated __init__, so
+            # the warning names the line that built the parameters
             warnings.warn(
-                f"phase error {self.sigma!r} is outside the small-error regime",
-                stacklevel=2,
+                f"phase error sigma={self.sigma!r} is outside the small-error "
+                "regime |sigma| < pi/4",
+                stacklevel=3,
             )
 
 

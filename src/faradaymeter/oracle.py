@@ -2,9 +2,10 @@
 
 Three routes of increasing generality: the closed form for the standard
 four-amplitude decomposition, the spin-flip overlap for an arbitrary pure
-two-qubit vector, and the mixed-state formula built on the eigenvalues of
-``rho rho_tilde``.  None of them touch the protocol machinery, so agreement
-between a protocol estimate and these numbers is meaningful evidence.
+two-qubit vector, and the mixed-state formula built on the square roots of
+the eigenvalues of ``rho rho_tilde``.  None of them touch the protocol
+machinery, so agreement between a protocol estimate and these numbers is
+meaningful evidence.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
 _HERMITIAN_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _EIGVAL_FLOOR = -1e-9
-_IMAG_TOL = 1e-8
 
 
 def concurrence_pure(state: TwoPhotonState) -> float:
@@ -43,8 +43,8 @@ def concurrence_pure_general(psi) -> float:
     return min(1.0, float(abs(vec @ (SIGMA_YY @ vec))))
 
 
-def validate_density_matrix(rho) -> np.ndarray:
-    """Check shape, Hermiticity, unit trace and positivity; return as array."""
+def _validated_eigh(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a density matrix; return it with its eigenvalues and eigenvectors."""
     mat = np.asarray(rho, dtype=complex)
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
@@ -54,9 +54,15 @@ def validate_density_matrix(rho) -> np.ndarray:
         raise ValueError("density matrix is not Hermitian to within 1e-10")
     if abs(np.trace(mat).real - 1.0) > _TRACE_TOL or abs(np.trace(mat).imag) > _TRACE_TOL:
         raise ValueError(f"density matrix trace is {np.trace(mat)!r}, expected 1")
-    if float(np.min(np.linalg.eigvalsh(mat))) < _EIGVAL_FLOOR:
+    evals, evecs = np.linalg.eigh(mat)
+    if float(evals[0]) < _EIGVAL_FLOOR:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
-    return mat
+    return mat, evals, evecs
+
+
+def validate_density_matrix(rho) -> np.ndarray:
+    """Check shape, Hermiticity, unit trace and positivity; return as array."""
+    return _validated_eigh(rho)[0]
 
 
 def spin_flip(rho) -> np.ndarray:
@@ -85,31 +91,21 @@ def eigenvalues_4x4(matrix) -> np.ndarray:
 def concurrence_mixed(rho) -> float:
     """Concurrence of an arbitrary two-qubit density matrix.
 
-    Computes the eigenvalues of ``rho rho_tilde``, takes their square roots
-    in decreasing order and returns ``max(0, l1 - l2 - l3 - l4)``.  The
-    eigenvalues are mathematically real and non-negative; imaginary parts
-    above 1e-8 or negative parts beyond round-off indicate a numerical
-    failure rather than a physical input, and raise.
+    The square roots of the eigenvalues of ``rho rho_tilde`` are the
+    singular values of ``X^T (sigma_y x sigma_y) X`` for any factor
+    ``rho = X X^dagger``; ``X`` is taken from the eigendecomposition the
+    validation already computes, with round-off negative eigenvalues set to
+    zero.  Sorting them as l1 >= ... >= l4 gives ``max(0, l1 - l2 - l3 - l4)``.
+    Working with the roots directly keeps small genuine ones exact, where
+    the eigenvalues of ``rho rho_tilde`` itself (their squares) would sink
+    below round-off for nearly pure inputs.
     """
-    mat = validate_density_matrix(rho)
-    flipped = SIGMA_YY @ mat.conj() @ SIGMA_YY
-    evals = eigenvalues_4x4(mat @ flipped)
-    if float(np.max(np.abs(evals.imag))) > _IMAG_TOL:
-        raise NumericalFailureError(
-            f"eigenvalues of rho rho_tilde are not real: {evals!r}"
-        )
-    real_parts = evals.real
-    if float(np.min(real_parts)) < _EIGVAL_FLOOR:
-        raise NumericalFailureError(
-            f"eigenvalues of rho rho_tilde are negative: {evals!r}"
-        )
-    # Exact zeros of rho rho_tilde come back as round-off noise (~1e-16);
-    # their square roots (~1e-8) would visibly pollute the eigenvalue sum,
-    # so anything at noise scale relative to the largest eigenvalue is
-    # treated as zero before taking roots.
-    floor = 1e-12 * float(np.max(real_parts, initial=0.0))
-    roots = np.sqrt(np.where(real_parts < floor, 0.0, real_parts))
-    roots = np.sort(roots)[::-1]
+    _, evals, evecs = _validated_eigh(rho)
+    factor = evecs * np.sqrt(np.maximum(evals, 0.0))
+    try:
+        roots = np.linalg.svd(factor.T @ SIGMA_YY @ factor, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"singular value iteration failed: {exc}") from exc
     value = roots[0] - roots[1] - roots[2] - roots[3]
     return max(0.0, min(1.0, float(value)))
 

@@ -8,6 +8,14 @@ rotation on the a photons followed by a third parity check and |+> readout
 (stage 2) succeeds with conditional probability p2, and the product
 ``p_total = p1 * p2`` equals one quarter of the squared concurrence of the
 input pair.
+
+A parity check followed by a |+> readout of its atom acts on the photon
+pair alone as one diagonal operator, ``K = r r0 Pi_odd + (r^2 + r0^2)/2
+Pi_even``, so :func:`stage_probabilities` evaluates the whole protocol on
+the 16 photon amplitudes of the two copies, without atoms.  The labelled
+seven-qubit evolution (:func:`prepare_joint`, :func:`parity_check`,
+:func:`target_final_state`) is kept as the independent reference the core
+is tested against.
 """
 
 from __future__ import annotations
@@ -19,14 +27,15 @@ import numpy as np
 
 from .faraday import FaradayPhases, interaction_table
 from .qstate import (
+    ATOM_GL,
+    ATOM_GR,
     ATOM_LABELS,
     EMPTY_BRANCH_CUTOFF,
     FULL_REGISTER,
+    POL_L,
+    POL_R,
     StateVector,
     apply_diagonal_phase,
-    apply_single_qubit,
-    empty_branch,
-    project_qubit,
     qubit_state,
     reorder,
     tensor_product,
@@ -40,6 +49,8 @@ ATOM_MINUS = np.array([_SQRT_HALF, -_SQRT_HALF], dtype=complex)
 
 # Quarter-wave plate: R -> (R + L)/sqrt2, L -> (R - L)/sqrt2.
 QWP_HADAMARD = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex)
+# The same plate on both a photons, acting on the pair index 2 * a1 + a2.
+_QWP_PAIR = np.kron(QWP_HADAMARD, QWP_HADAMARD)
 
 _NORM_TOL = 1e-10
 # Forgive only rounding-level excess when converting p_total to a concurrence.
@@ -86,15 +97,14 @@ class ProtocolOutcome:
     """Stage probabilities and the resulting concurrence estimate.
 
     ``p_total`` is always the exact product ``p1 * p2`` and ``c_estimate``
-    is ``2 * sqrt(p_total)``.  ``final_state`` is the post-selected
-    seven-qubit state, flagged empty when the run cannot succeed.
+    is ``2 * sqrt(p_total)``.  A run that cannot succeed reports ``p2``,
+    ``p_total`` and ``c_estimate`` as zero.
     """
 
     p1: float
     p2: float
     p_total: float
     c_estimate: float
-    final_state: StateVector
 
 
 def _pair_state(state: TwoPhotonState, a_label: str, b_label: str) -> StateVector:
@@ -104,7 +114,11 @@ def _pair_state(state: TwoPhotonState, a_label: str, b_label: str) -> StateVecto
 
 
 def prepare_joint(state: TwoPhotonState) -> StateVector:
-    """Two copies of the pair plus three atoms in |+>, in register order."""
+    """Two copies of the pair plus three atoms in |+>, in register order.
+
+    Part of the seven-qubit reference engine; the protocol itself runs on
+    :func:`stage_probabilities`.
+    """
     joint = tensor_product(_pair_state(state, "a1", "b1"), _pair_state(state, "a2", "b2"))
     for atom in ATOM_LABELS:
         joint = tensor_product(joint, qubit_state(atom, _SQRT_HALF, _SQRT_HALF))
@@ -117,7 +131,10 @@ def parity_check(
     atom: str,
     phases: FaradayPhases,
 ) -> StateVector:
-    """Reflect two photons off the same cavity, one after the other."""
+    """Reflect two photons off the same cavity, one after the other.
+
+    Part of the seven-qubit reference engine, which keeps the atom explicit.
+    """
     table = interaction_table(phases)
     first, second = photon_pair
     state = apply_diagonal_phase(state, (first, atom), table)
@@ -131,36 +148,81 @@ def _concurrence_estimate(p_total: float) -> float:
     return c
 
 
-def _failed(p1: float, labels) -> ProtocolOutcome:
-    return ProtocolOutcome(p1, 0.0, 0.0, 0.0, empty_branch(labels))
+def _failed(p1: float) -> ProtocolOutcome:
+    return ProtocolOutcome(p1, 0.0, 0.0, 0.0)
+
+
+def _readout_factors(phases: FaradayPhases) -> np.ndarray:
+    """Factor ``K[x, y]`` a parity check plus |+> readout puts on photon bits (x, y).
+
+    The atom starts in |+>; each photon multiplies the amplitude by its
+    interaction phase with the atom's ground sublevel, and the |+> readout
+    averages the two sublevels: ``K[x, y] = (t(x, g_L) t(y, g_L) +
+    t(x, g_R) t(y, g_R)) / 2``.  That is ``r r0`` for odd and
+    ``(r^2 + r0^2) / 2`` for even photon parity.
+    """
+    table = interaction_table(phases)
+    t = np.array(
+        [
+            [table[(POL_R, ATOM_GL)], table[(POL_R, ATOM_GR)]],
+            [table[(POL_L, ATOM_GL)], table[(POL_L, ATOM_GR)]],
+        ]
+    )
+    return 0.5 * (t @ t.T)
+
+
+def _readout(weight: float, previous: float) -> float:
+    """Conditional |+> probability, or 0.0 for an empty branch."""
+    probability = min(1.0, weight / previous)
+    return 0.0 if probability < EMPTY_BRANCH_CUTOFF else probability
+
+
+def stage_probabilities(
+    state: TwoPhotonState, phases: FaradayPhases
+) -> tuple[float, float, float]:
+    """The three conditional |+> readout probabilities of the protocol.
+
+    ``q1`` is the chance atom 1 reads |+>, ``q2`` that atom 2 does given
+    atom 1 did, and ``q3`` that atom 3 does given both did, so
+    ``p1 = q1 q2`` and ``p2 = q3``.  Works on the two copies as a
+    ``(2, 2, 2, 2)`` tensor of photon bits (a1, a2, b1, b2), held as a 4x4
+    matrix with the a pair on the rows: each parity check plus readout
+    multiplies by :func:`_readout_factors` of its pair, and the
+    quarter-wave plates act on the rows.  A probability below
+    ``EMPTY_BRANCH_CUTOFF`` is reported as 0.0, and the readouts after it
+    as 0.0 too.
+    """
+    k = _readout_factors(phases).reshape(4, 1)
+    psi = np.array(state.amplitudes(), dtype=complex).reshape(2, 2)
+    pair = np.multiply.outer(psi, psi).transpose(0, 2, 1, 3).reshape(4, 4)
+    x = k * pair  # atom 1 on (a1, a2); the input has unit norm
+    w1 = float(np.vdot(x, x).real)
+    q1 = _readout(w1, 1.0)
+    if q1 == 0.0:
+        return 0.0, 0.0, 0.0
+    x = x * k.T  # atom 2 on (b1, b2)
+    w2 = float(np.vdot(x, x).real)
+    q2 = _readout(w2, w1)
+    if q2 == 0.0:
+        return q1, 0.0, 0.0
+    x = k * (_QWP_PAIR @ x)  # plates on a1 and a2, then atom 3 on (a1, a2)
+    return q1, q2, _readout(float(np.vdot(x, x).real), w2)
 
 
 def run_analytic(state: TwoPhotonState, phases: FaradayPhases) -> ProtocolOutcome:
-    """Run the full protocol by exact state evolution and projection.
+    """Exact stage probabilities of the full protocol.
 
     Stage 1 post-selects atoms 1 and 2 on |+>; stage 2 rotates the a
     photons, runs the third parity check and post-selects atom 3.  When the
     stage-1 weight falls below the empty-branch cutoff the later stages are
     undefined and reported as zero.
     """
-    joint = prepare_joint(state)
-    joint = parity_check(joint, ("a1", "a2"), "atom1", phases)
-    joint = parity_check(joint, ("b1", "b2"), "atom2", phases)
-    q1, joint = project_qubit(joint, "atom1", ATOM_PLUS)
-    if joint.empty:
-        return _failed(0.0, FULL_REGISTER)
-    q2, joint = project_qubit(joint, "atom2", ATOM_PLUS)
+    q1, q2, q3 = stage_probabilities(state, phases)
     p1 = q1 * q2
-    if joint.empty or p1 < EMPTY_BRANCH_CUTOFF:
-        return _failed(p1 if not joint.empty else 0.0, FULL_REGISTER)
-    joint = apply_single_qubit(joint, "a1", QWP_HADAMARD)
-    joint = apply_single_qubit(joint, "a2", QWP_HADAMARD)
-    joint = parity_check(joint, ("a1", "a2"), "atom3", phases)
-    p2, joint = project_qubit(joint, "atom3", ATOM_PLUS)
-    if joint.empty:
-        return _failed(p1, FULL_REGISTER)
-    p_total = p1 * p2
-    return ProtocolOutcome(p1, p2, p_total, _concurrence_estimate(p_total), joint)
+    if p1 < EMPTY_BRANCH_CUTOFF:
+        return _failed(p1)
+    p_total = p1 * q3
+    return ProtocolOutcome(p1, q3, p_total, _concurrence_estimate(p_total))
 
 
 def target_final_state() -> StateVector:
@@ -168,7 +230,8 @@ def target_final_state() -> StateVector:
 
     The photons end in a product of antisymmetric pairs,
     (|LR> - |RL>)_a1a2 (|RL> - |LR>)_b1b2 / 2, and every atom returns
-    to |+>.
+    to |+>.  Reference only: the seven-qubit engine's surviving branch is
+    tested against it.
     """
     a_amps = np.array([0.0, _SQRT_HALF, -_SQRT_HALF, 0.0], dtype=complex)
     b_amps = np.array([0.0, -_SQRT_HALF, _SQRT_HALF, 0.0], dtype=complex)
@@ -194,12 +257,12 @@ def closed_form_outcome(state: TwoPhotonState) -> ProtocolOutcome:
     odd_weight = abs(ad) ** 2 + abs(bg) ** 2
     p1 = 2.0 * odd_weight
     if p1 < EMPTY_BRANCH_CUTOFF:
-        return _failed(p1, FULL_REGISTER)
+        return _failed(p1)
     p2 = abs(ad - bg) ** 2 / (2.0 * odd_weight)
     p_total = p1 * p2
     if p_total < EMPTY_BRANCH_CUTOFF:
-        return _failed(p1, FULL_REGISTER)
-    return ProtocolOutcome(p1, p2, p_total, _concurrence_estimate(p_total), target_final_state())
+        return _failed(p1)
+    return ProtocolOutcome(p1, p2, p_total, _concurrence_estimate(p_total))
 
 
 def concurrence_from_ptotal(p_total: float) -> float:

@@ -220,6 +220,19 @@ def test_criterion_8_oracle_validity():
     _report(8, "oracle identities, Werner values and local-unitary invariance hold", check)
 
 
+def test_oracle_exact_for_nearly_pure_mixtures():
+    # rho = p|psi><psi| + (1 - p) I/4 has concurrence max(0, p C - (1 - p)/2);
+    # the genuine small eigenvalues must survive however close p is to 1
+    rng = np.random.default_rng(90)
+    for one_minus_p in np.logspace(-9, np.log10(0.63), 400):
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        p = 1.0 - one_minus_p
+        rho = p * density_from_pure(psi) + one_minus_p * np.eye(4) / 4.0
+        expected = max(0.0, p * concurrence_pure_general(psi) - one_minus_p / 2.0)
+        assert abs(concurrence_mixed(rho) - expected) <= 1e-12
+
+
 def test_criterion_9_determinism():
     def check():
         command = [

@@ -329,6 +329,28 @@ class TestMain:
         assert main(["analytic", *BELL_FLAGS, "--eta", "0.3", "--sigma", "0.44"]) == 4
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["simulate", "analytic"])
+    def test_zero_efficiency_is_a_config_error(self, mode, capsys):
+        assert main([mode, *BELL_FLAGS, "--trials", "100", "--eta", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "eta_a" in captured.err
+        assert captured.out == ""
+
+    def test_eta_sweep_reaching_zero_is_a_config_error(self, capsys):
+        flags = ["sweep", *BELL_FLAGS, "--trials", "100", "--sweep-axis", "eta_a",
+                 "--sweep-start", "1.0", "--sweep-stop", "0.0", "--sweep-steps", "3"]
+        assert main(flags) == 2
+        captured = capsys.readouterr()
+        assert "eta_a" in captured.err
+        assert captured.out == ""
+
+    def test_zero_efficiency_rejected_in_config_document(self):
+        with pytest.raises(ConfigError, match="eta_a"):
+            parse_config(json.dumps({"mode": "simulate", "state": BELL_STATE, "eta_a": 0}))
+        sweep = {"axis": "eta_a", "start": 0.0, "stop": 0.5, "steps": 2}
+        with pytest.raises(ConfigError, match="eta_a"):
+            parse_config(json.dumps({"mode": "sweep", "state": BELL_STATE, "sweep": sweep}))
+
 
 class TestDeterminism:
     def test_simulate_byte_identical(self):

@@ -1,6 +1,7 @@
 """Tests for the imperfection model and its inversion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,17 @@ class TestParams:
     def test_large_sigma_warns(self):
         with pytest.warns(UserWarning, match="small-error"):
             ImperfectionParams(sigma=0.9)
+
+    def test_large_sigma_warning_names_sigma_and_caller(self):
+        with pytest.warns(UserWarning) as record:
+            ImperfectionParams(sigma=0.9)
+        (warning,) = record
+        assert "sigma" in str(warning.message)
+        assert warning.filename == __file__
+        formatted = warnings.formatwarning(
+            warning.message, warning.category, warning.filename, warning.lineno
+        )
+        assert "<string>" not in formatted
 
     def test_defaults_are_ideal(self):
         params = ImperfectionParams()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from seven_qubit_reference import reference_run
 
 from faradaymeter.faraday import ideal_phases, perturbed_phases
 from faradaymeter.oracle import concurrence_pure
@@ -16,6 +17,7 @@ from faradaymeter.protocol import (
     parity_check,
     prepare_joint,
     run_analytic,
+    stage_probabilities,
     target_final_state,
 )
 from faradaymeter.qstate import (
@@ -123,14 +125,14 @@ class TestRunAnalytic:
         assert outcome.p1 == 0.0
         assert outcome.p_total == 0.0
         assert outcome.c_estimate == 0.0
-        assert outcome.final_state.empty
+        assert outcome.p2 == 0.0
 
     def test_zero_concurrence_fails_at_stage_two(self):
         state = TwoPhotonState(0.5, 0.5, 0.5, 0.5)
         outcome = run_analytic(state, ideal_phases())
         assert outcome.p1 == pytest.approx(0.25, abs=1e-12)
         assert outcome.p2 == 0.0
-        assert outcome.final_state.empty
+        assert outcome.p_total == 0.0
 
     def test_outcome_identities(self):
         rng = np.random.default_rng(107)
@@ -142,16 +144,16 @@ class TestRunAnalytic:
             )
 
     def test_final_state_is_universal(self):
-        # whatever the input, the surviving branch is the same product of
-        # antisymmetric photon pairs with all atoms back in |+>
+        # whatever the input, the reference engine's surviving branch is the
+        # same product of antisymmetric photon pairs with all atoms back in |+>
         rng = np.random.default_rng(109)
         target = target_final_state()
         for _ in range(10):
             state = random_two_photon(rng)
-            outcome = run_analytic(state, ideal_phases())
-            if outcome.final_state.empty:
+            *_, final_state = reference_run(state, ideal_phases())
+            if final_state.empty:
                 continue
-            fidelity = abs(np.vdot(target.amps, outcome.final_state.amps))
+            fidelity = abs(np.vdot(target.amps, final_state.amps))
             assert fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_closed_form(self):
@@ -179,6 +181,17 @@ class TestRunAnalytic:
         assert perturbed.p_total > ideal.p_total
 
 
+class TestStageProbabilities:
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.2, 0.3])
+    def test_matches_reference_on_haar_states(self, sigma):
+        rng = np.random.default_rng(131)
+        phases = perturbed_phases(sigma)
+        for _ in range(1000):
+            state = random_two_photon(rng)
+            q_ref = reference_run(state, phases)[:3]
+            assert stage_probabilities(state, phases) == pytest.approx(q_ref, abs=1e-12, rel=0.0)
+
+
 class TestClosedForm:
     def test_bell(self):
         outcome = closed_form_outcome(BELL)
@@ -195,7 +208,8 @@ class TestClosedForm:
     def test_product_state(self):
         outcome = closed_form_outcome(TwoPhotonState(0, 1, 0, 0))
         assert outcome.p1 == 0.0
-        assert outcome.final_state.empty
+        assert outcome.p2 == 0.0
+        assert outcome.p_total == 0.0
 
 
 class TestTargetState:
