@@ -59,8 +59,6 @@ from .oracle import (
     concurrence_mixed,
     concurrence_pure,
     concurrence_pure_general,
-    eigenvalues_4x4,
-    spin_flip,
 )
 from .protocol import (
     ProtocolOutcome,

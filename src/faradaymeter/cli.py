@@ -19,7 +19,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from io import StringIO
 
 import numpy as np
@@ -32,7 +32,7 @@ from .errors import (
     NonInvertibleError,
     NumericalFailureError,
 )
-from .estimator import TrialConfig, estimate
+from .estimator import EstimateReport, TrialConfig, estimate
 from .faraday import CavityParams, perturbed_phases, phases_from_params
 from .imperfect import ImperfectionParams, recover_concurrence
 from .oracle import concurrence_mixed, concurrence_pure, concurrence_pure_general
@@ -351,8 +351,9 @@ def _run_analytic(config: RunConfig) -> dict:
     }
 
 
-def _run_simulate(config: RunConfig) -> dict:
-    report = estimate(
+def _estimate(config: RunConfig) -> EstimateReport:
+    """Monte Carlo estimate for the state, trials, seed, eta_a and sigma of ``config``."""
+    return estimate(
         TrialConfig(
             n_trials=config.trials,
             master_seed=config.seed,
@@ -361,6 +362,10 @@ def _run_simulate(config: RunConfig) -> dict:
             imperfections=config.imperfections,
         )
     )
+
+
+def _run_simulate(config: RunConfig) -> dict:
+    report = _estimate(config)
     return {
         "trials": report.trials,
         "stage1_successes": report.stage1_successes,
@@ -403,37 +408,25 @@ def _run_phases(config: RunConfig) -> dict:
 
 
 def _sweep_point(config: RunConfig, index: int, value: float) -> tuple:
-    state = config.state
-    trials = config.trials
-    eta_a = config.eta_a
-    sigma = config.sigma
     axis = config.sweep.axis
     if axis == "sigma":
-        sigma = float(value)
+        point = {"sigma": value}
     elif axis == "eta_a":
-        eta_a = float(value)
+        point = {"eta_a": value}
     elif axis == "trials":
-        trials = max(1, int(round(value)))
+        point = {"trials": max(1, int(round(value)))}
     else:
-        state = TwoPhotonState(math.cos(value), 0.0, 0.0, math.sin(value))
-    imperfections = ImperfectionParams(eta_a=eta_a, sigma=sigma)
-    report = estimate(
-        TrialConfig(
-            n_trials=trials,
-            master_seed=(config.seed + index) % 2**64,
-            state=state,
-            phases=perturbed_phases(sigma),
-            imperfections=imperfections,
-        )
-    )
+        point = {"state": TwoPhotonState(math.cos(value), 0.0, 0.0, math.sin(value))}
+    config = replace(config, seed=(config.seed + index) % 2**64, **point)
+    report = _estimate(config)
     return (
-        float(value),
+        value,
         report.p1_hat,
         report.p2_hat,
         report.p_total_hat,
         report.c_hat,
         report.corrected_c_hat,
-        concurrence_pure(state),
+        concurrence_pure(config.state),
         report.c_low,
         report.c_high,
     )

@@ -65,29 +65,6 @@ def validate_density_matrix(rho) -> np.ndarray:
     return _validated_eigh(rho)[0]
 
 
-def spin_flip(rho) -> np.ndarray:
-    """The spin-flipped matrix (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    mat = validate_density_matrix(rho)
-    return SIGMA_YY @ mat.conj() @ SIGMA_YY
-
-
-def eigenvalues_4x4(matrix) -> np.ndarray:
-    """Eigenvalues of a general complex 4x4 matrix.
-
-    Hessenberg reduction followed by the shifted QR iteration, as provided
-    by LAPACK.  Convergence failures surface as NumericalFailureError.
-    """
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix entries must be finite")
-    try:
-        return np.linalg.eigvals(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigenvalue iteration failed: {exc}") from exc
-
-
 def concurrence_mixed(rho) -> float:
     """Concurrence of an arbitrary two-qubit density matrix.
 

@@ -244,24 +244,6 @@ def project_qubit(state: StateVector, target: str, axis_state) -> tuple[float, S
     return probability, StateVector(out.reshape(-1), state.labels)
 
 
-def born_sample(state: StateVector, target: str, basis, rng) -> tuple[int, StateVector]:
-    """Measure one qubit in an orthonormal basis using a uniform draw.
-
-    ``basis`` is a pair of orthonormal 2-vectors; outcome 0 is returned
-    exactly when the draw falls below the outcome-0 probability.
-    """
-    b0 = _check_axis(basis[0])
-    b1 = _check_axis(basis[1])
-    if abs(np.vdot(b0, b1)) > _BASIS_TOL:
-        raise ValueError("measurement basis vectors are not orthogonal")
-    cube = _axes_view(state, target)
-    overlap0 = b0[0].conjugate() * cube[:, 0, :] + b0[1].conjugate() * cube[:, 1, :]
-    p0 = min(1.0, float(np.sum(np.abs(overlap0) ** 2)))
-    outcome = 0 if rng.random() < p0 else 1
-    _, collapsed = project_qubit(state, target, b0 if outcome == 0 else b1)
-    return outcome, collapsed
-
-
 def basis_amplitude(state: StateVector, bits: dict[str, int]) -> complex:
     """Amplitude of one computational basis state, addressed by label."""
     if set(bits) != set(state.labels):

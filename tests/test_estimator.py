@@ -1,10 +1,15 @@
 """Tests for the Monte Carlo estimator and its deterministic streams."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from serial_estimator_reference import serial_counts
 
+from faradaymeter import estimator
 from faradaymeter.estimator import (
     DRAWS_PER_TRIAL,
     EstimateReport,
@@ -22,6 +27,11 @@ from faradaymeter.protocol import TwoPhotonState
 SQ2 = 1.0 / math.sqrt(2.0)
 BELL = TwoPhotonState(SQ2, 0.0, 0.0, SQ2)
 IDEAL = ImperfectionParams()
+# every stage is non-trivial for this state at sigma 0.1 and eta 0.8
+SKEWED = TwoPhotonState(0.6, 0.3j, -0.2, math.sqrt(1.0 - 0.36 - 0.09 - 0.04))
+SKEWED_IMPERFECTIONS = ImperfectionParams(eta_a=0.8, sigma=0.1)
+# spans several workers and buffers, and is a multiple of neither
+SPLIT_TRIALS = 3 * 2**15 + 977
 
 
 def bell_config(n, seed, imperfections=IDEAL, sigma=0.0):
@@ -193,6 +203,104 @@ class TestEstimate:
 
     def test_draw_block_is_padded_to_counter_boundary(self):
         assert DRAWS_PER_TRIAL * 64 % 256 == 0
+
+
+def skewed_config(n, seed):
+    return TrialConfig(
+        n_trials=n,
+        master_seed=seed,
+        state=SKEWED,
+        phases=perturbed_phases(0.1),
+        imperfections=SKEWED_IMPERFECTIONS,
+    )
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    """Offer three CPUs to ``estimate`` and record the spans it counts."""
+    monkeypatch.setattr(estimator, "_available_cpus", lambda: 3)
+    recorded = []
+    count_span = estimator._count_span
+
+    def recording(seed, thresholds, lo, hi):
+        recorded.append((lo, hi))
+        return count_span(seed, thresholds, lo, hi)
+
+    monkeypatch.setattr(estimator, "_count_span", recording)
+    return recorded
+
+
+class TestSpanSplit:
+    @pytest.mark.parametrize("chunk_size", [977, None])
+    def test_split_matches_serial_reference(self, spans, chunk_size):
+        config = skewed_config(SPLIT_TRIALS, 4242)
+        kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
+        report = estimate(config, **kwargs)
+        assert sorted(spans) == [(0, 33093), (33093, 66187), (66187, SPLIT_TRIALS)]
+        assert (report.stage1_successes, report.stage2_successes) == serial_counts(config)
+
+    def test_span_streams_replay_per_trial(self, spans):
+        seed = 4243
+        config = skewed_config(SPLIT_TRIALS, seed)
+        estimate(config)
+        starts = [lo for lo, _ in spans]
+        assert len(starts) == 3
+        sampler = TrialSampler(SKEWED, perturbed_phases(0.1))
+        eta = SKEWED_IMPERFECTIONS.eta_a
+        row = [sampler.p_plus1, eta, sampler.p_plus2, eta, sampler.p_plus3, eta, -1.0, -1.0]
+        thresholds = np.tile(row, (16, 1))
+        for lo in starts:
+            outcomes = [
+                run_trial(SKEWED, perturbed_phases(0.1), SKEWED_IMPERFECTIONS, trial_stream(seed, i))
+                for i in range(lo, lo + 100)
+            ]
+            expected = (
+                sum(o.stage1_pass for o in outcomes),
+                sum(o.stage2_pass for o in outcomes),
+            )
+            assert estimator._count_span(seed, thresholds, lo, lo + 100) == expected
+
+    def test_concurrent_callers_get_identical_reports(self, spans):
+        configs = [skewed_config(SPLIT_TRIALS, seed) for seed in (7, 8)]
+        reports = {}
+
+        def call(config):
+            reports[config.master_seed] = estimate(config, chunk_size=977)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(config,)) for config in configs]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert len(spans) == 6
+        for config in configs:
+            report = reports[config.master_seed]
+            assert report == estimate(config)
+            assert (report.stage1_successes, report.stage2_successes) == serial_counts(config)
+
+    def test_short_runs_stay_on_the_calling_thread(self, spans):
+        estimate(skewed_config(2 * estimator._MIN_SPAN - 1, 5))
+        assert spans == [(0, 2 * estimator._MIN_SPAN - 1)]
+
+    def test_memory_peak_is_bounded_at_the_worker_cap(self, monkeypatch):
+        # with every worker the cap allows, 1e6 trials keep only the reused
+        # buffers alive, not a draws array per chunk
+        monkeypatch.setattr(estimator, "_available_cpus", lambda: 64)
+        config = bell_config(1_000_000, 19)
+        estimate(config)
+        tracemalloc.start()
+        try:
+            estimate(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestTrialStream:

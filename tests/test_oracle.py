@@ -11,8 +11,6 @@ from faradaymeter.oracle import (
     concurrence_pure,
     concurrence_pure_general,
     density_from_pure,
-    eigenvalues_4x4,
-    spin_flip,
     validate_density_matrix,
 )
 from faradaymeter.protocol import TwoPhotonState
@@ -88,64 +86,6 @@ class TestDensityValidation:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             validate_density_matrix(np.eye(2) / 2)
-
-
-class TestSpinFlip:
-    def test_maximally_mixed_fixed_point(self):
-        np.testing.assert_allclose(spin_flip(np.eye(4) / 4), np.eye(4) / 4, atol=1e-15)
-
-    def test_bell_projector_fixed_point(self):
-        rho = density_from_pure(BELL_PSI)
-        np.testing.assert_allclose(spin_flip(rho), rho, atol=1e-15)
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(67)
-        weights = rng.dirichlet(np.ones(3))
-        rho = sum(w * density_from_pure(random_pure(rng)) for w in weights)
-        flipped = spin_flip(rho)
-        assert np.trace(flipped) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(flipped, flipped.conj().T, atol=1e-12)
-
-
-class TestEigenvalues:
-    def test_diagonal(self):
-        values = eigenvalues_4x4(np.diag([1.0, 2.0, 3.0, 4.0]))
-        np.testing.assert_allclose(sorted(values.real), [1, 2, 3, 4], atol=1e-12)
-        np.testing.assert_allclose(values.imag, 0, atol=1e-12)
-
-    def test_unitary_similarity_preserves_spectrum(self):
-        rng = np.random.default_rng(71)
-        diag = np.diag([0.9, 0.05, 0.03, 0.02]).astype(complex)
-        for _ in range(10):
-            raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            q, _ = np.linalg.qr(raw)
-            values = eigenvalues_4x4(q @ diag @ q.conj().T)
-            np.testing.assert_allclose(
-                np.sort(values.real)[::-1], [0.9, 0.05, 0.03, 0.02], atol=1e-9
-            )
-            np.testing.assert_allclose(values.imag, 0, atol=1e-9)
-
-    def test_characteristic_residual(self):
-        rng = np.random.default_rng(73)
-        mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        scale = max(1.0, np.linalg.norm(mat)) ** 4
-        for lam in eigenvalues_4x4(mat):
-            assert abs(np.linalg.det(mat - lam * np.eye(4))) <= 1e-8 * scale
-
-    def test_pure_product_spectrum(self):
-        # rho rho_tilde of a pure state is rank one with eigenvalue C^2
-        rng = np.random.default_rng(79)
-        psi = random_pure(rng)
-        rho = density_from_pure(psi)
-        values = eigenvalues_4x4(rho @ spin_flip(rho))
-        c2 = concurrence_pure_general(psi) ** 2
-        np.testing.assert_allclose(np.sort(values.real)[::-1], [c2, 0, 0, 0], atol=1e-9)
-
-    def test_nonfinite_rejected(self):
-        mat = np.eye(4, dtype=complex)
-        mat[2, 2] = np.inf
-        with pytest.raises(ValueError):
-            eigenvalues_4x4(mat)
 
 
 class TestMixedConcurrence:

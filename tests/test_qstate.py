@@ -14,7 +14,6 @@ from faradaymeter.qstate import (
     apply_single_qubit,
     basis_amplitude,
     basis_state,
-    born_sample,
     empty_branch,
     from_amplitudes,
     project_qubit,
@@ -234,49 +233,6 @@ class TestProjection:
         state = basis_state(("q",), {"q": 0})
         with pytest.raises(ValueError):
             project_qubit(state, "q", [1.0, 1.0])
-
-
-class _FixedDraws:
-    def __init__(self, values):
-        self._values = list(values)
-
-    def random(self):
-        return self._values.pop(0)
-
-
-class TestBornSample:
-    PLUS = np.array([SQ2, SQ2])
-    MINUS = np.array([SQ2, -SQ2])
-
-    def test_outcome_zero_iff_draw_below_p0(self):
-        state = qubit_state("q", 1.0, 0.0)  # p(+) is exactly 1/2
-        outcome, _ = born_sample(state, "q", (self.PLUS, self.MINUS), _FixedDraws([0.4999]))
-        assert outcome == 0
-        outcome, _ = born_sample(state, "q", (self.PLUS, self.MINUS), _FixedDraws([0.5001]))
-        assert outcome == 1
-
-    def test_collapse_matches_projection(self):
-        rng = np.random.default_rng(31)
-        state = random_state(rng, ("a", "b"))
-        outcome, collapsed = born_sample(state, "b", (self.PLUS, self.MINUS), _FixedDraws([0.0]))
-        assert outcome == 0
-        _, expected = project_qubit(state, "b", self.PLUS)
-        np.testing.assert_allclose(collapsed.amps, expected.amps, atol=1e-14)
-
-    def test_frequency_on_equal_superposition(self):
-        rng = np.random.default_rng(2024)
-        state = qubit_state("q", 1.0, 0.0)
-        draws = 100_000
-        zeros = sum(
-            born_sample(state, "q", (self.PLUS, self.MINUS), rng)[0] == 0
-            for _ in range(draws)
-        )
-        assert zeros / draws == pytest.approx(0.5, abs=0.01)
-
-    def test_non_orthogonal_basis_rejected(self):
-        state = qubit_state("q", 1.0, 0.0)
-        with pytest.raises(ValueError):
-            born_sample(state, "q", (self.PLUS, self.PLUS), _FixedDraws([0.1]))
 
 
 class TestBasisAmplitude:
