@@ -88,6 +88,28 @@ class TestDensityValidation:
             validate_density_matrix(np.eye(2) / 2)
 
 
+def spin_flip(rho):
+    """The spin flip (sigma_y x sigma_y) rho* (sigma_y x sigma_y) that concurrence_mixed builds on."""
+    return SIGMA_YY @ validate_density_matrix(rho).conj() @ SIGMA_YY
+
+
+class TestSpinFlip:
+    def test_maximally_mixed_fixed_point(self):
+        np.testing.assert_allclose(spin_flip(np.eye(4) / 4), np.eye(4) / 4, atol=1e-15)
+
+    def test_bell_projector_fixed_point(self):
+        rho = density_from_pure(BELL_PSI)
+        np.testing.assert_allclose(spin_flip(rho), rho, atol=1e-15)
+
+    def test_trace_preserved(self):
+        rng = np.random.default_rng(67)
+        weights = rng.dirichlet(np.ones(3))
+        rho = sum(w * density_from_pure(random_pure(rng)) for w in weights)
+        flipped = spin_flip(rho)
+        assert np.trace(flipped) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(flipped, flipped.conj().T, atol=1e-12)
+
+
 class TestMixedConcurrence:
     def test_bell_projector(self):
         assert concurrence_mixed(density_from_pure(BELL_PSI)) == pytest.approx(1.0, abs=1e-10)
