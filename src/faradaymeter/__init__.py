@@ -64,7 +64,6 @@ from .protocol import (
     ProtocolOutcome,
     TwoPhotonState,
     closed_form_outcome,
-    concurrence_from_ptotal,
     run_analytic,
     stage_probabilities,
     target_final_state,

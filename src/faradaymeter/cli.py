@@ -62,22 +62,26 @@ DEFAULT_TRIALS = 100_000
 _EXACT_NORM_TOL = 1e-6
 _RENORM_TOL = 1e-3
 
-_AMPLITUDE_KEYS = ("alpha", "beta", "gamma", "delta")
-_CAVITY_KEYS = ("omega_c", "omega_p", "omega_0", "kappa", "gamma", "coupling")
-_SWEEP_KEYS = ("axis", "start", "stop", "steps")
-_TOP_KEYS = {
-    "schema",
-    "mode",
-    "state",
-    "density_matrix",
-    "trials",
-    "seed",
-    "eta_a",
-    "sigma",
-    "cavity",
-    "sweep",
-    "out",
+# Key tables: each key of a config section and the type its value is read
+# as.  Parsing, the command-line flags and the record echo all read these.
+_AMPLITUDE_KEYS = dict.fromkeys(("alpha", "beta", "gamma", "delta"), complex)
+_CAVITY_KEYS = dict.fromkeys(("omega_c", "omega_p", "omega_0", "kappa", "gamma", "coupling"), float)
+_SWEEP_KEYS = {"axis": str, "start": float, "stop": float, "steps": int}
+
+# Top-level scalars: type, default, and the range that the value and every
+# point of a sweep along that key must satisfy.
+_SCALARS = {
+    "trials": (int, DEFAULT_TRIALS, lambda v: v >= 1, "must be positive, got {}"),
+    "seed": (int, 0, lambda v: 0 <= v < 2**64, "must be a 64-bit unsigned integer, got {}"),
+    "eta_a": (
+        float,
+        1.0,
+        lambda v: 0.0 < v <= 1.0,
+        "must lie in (0, 1], got {}: zero detection efficiency cannot be divided out",
+    ),
+    "sigma": (float, 0.0, lambda v: abs(v) < math.pi / 2.0, "must satisfy |sigma| < pi/2, got {}"),
 }
+_TOP_KEYS = {"schema", "mode", "state", "density_matrix", "cavity", "sweep", "out", *_SCALARS}
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,14 +96,23 @@ class SweepSpec:
             raise ConfigError(f"sweep.axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         if self.steps < 2:
             raise ConfigError(f"sweep.steps must be at least 2, got {self.steps!r}")
-        if self.axis == "eta_a" and not all(0.0 < v <= 1.0 for v in self.values()):
-            raise ConfigError(
-                f"an eta_a sweep must stay in (0, 1], got {self.start} to {self.stop}: "
-                "zero detection efficiency cannot be divided out"
-            )
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
+
+    def point(self, value: float) -> dict:
+        """The RunConfig fields that the sweep point at ``value`` replaces."""
+        if self.axis == "theta":
+            return {"state": TwoPhotonState(math.cos(value), 0.0, 0.0, math.sin(value))}
+        if self.axis == "trials":
+            return {"trials": int(round(value))}
+        return {self.axis: value}
+
+
+# The sections read through a key table, and the prefix of the flags that
+# set their keys one for one (cavity.omega_c is --omega-c, sweep.axis is
+# --sweep-axis).
+_SECTIONS = {"cavity": (_CAVITY_KEYS, "--"), "sweep": (_SWEEP_KEYS, "--sweep-")}
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +136,10 @@ class RunConfig:
 
 
 def _require(data: dict, key: str, kind, context: str):
+    """``data[key]`` read as ``kind``; complex also takes an [re, im] pair."""
     value = data[key]
+    if kind is complex:
+        return _complex_from(value, f"{context}.{key}")
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
@@ -143,23 +159,29 @@ def _complex_from(value, context: str) -> complex:
     raise ConfigError(f"{context} must be a number or an [re, im] pair")
 
 
-def _state_from(data, context: str = "state") -> TwoPhotonState:
+def _section(data, keys: dict, context: str) -> dict:
+    """The values of a section that must hold exactly the keys of its table."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{context} must be a mapping with keys {_AMPLITUDE_KEYS}")
-    unknown = set(data) - set(_AMPLITUDE_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown key {context}.{sorted(unknown)[0]}")
-    missing = set(_AMPLITUDE_KEYS) - set(data)
-    if missing:
-        raise ConfigError(f"missing key {context}.{sorted(missing)[0]}")
-    amps = np.array(
-        [_complex_from(data[k], f"{context}.{k}") for k in _AMPLITUDE_KEYS], dtype=complex
-    )
+        raise ConfigError(f"{context} must be a mapping with keys {tuple(keys)}")
+    for problem, names in (("unknown", set(data) - set(keys)), ("missing", set(keys) - set(data))):
+        if names:
+            raise ConfigError(f"{problem} key {context}.{sorted(names)[0]}")
+    return {key: _require(data, key, kind, context) for key, kind in keys.items()}
+
+
+def _check_range(key: str, value, context: str = "") -> None:
+    _, _, in_range, message = _SCALARS[key]
+    if not in_range(value):
+        raise ConfigError(f"{context}{key} {message.format(value)}")
+
+
+def _state_from(data) -> TwoPhotonState:
+    amps = np.array(list(_section(data, _AMPLITUDE_KEYS, "state").values()), dtype=complex)
     nrm = float(np.linalg.norm(amps))
     deviation = abs(nrm - 1.0)
     if deviation > _RENORM_TOL:
         raise ConfigError(
-            f"{context} amplitudes have norm {nrm!r}; beyond the 1e-3 auto-normalization band"
+            f"state amplitudes have norm {nrm!r}; beyond the 1e-3 auto-normalization band"
         )
     if deviation > _EXACT_NORM_TOL:
         log.warning("state amplitudes renormalized from norm %r", nrm)
@@ -179,8 +201,6 @@ def _density_from(data) -> np.ndarray:
 
 
 def _config_from_mapping(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config document must be a mapping")
     unknown = set(data) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
@@ -192,72 +212,32 @@ def _config_from_mapping(data: dict) -> RunConfig:
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
-    trials = _require(data, "trials", int, "config") if "trials" in data else DEFAULT_TRIALS
-    seed = _require(data, "seed", int, "config") if "seed" in data else 0
-    eta_a = _require(data, "eta_a", float, "config") if "eta_a" in data else 1.0
-    sigma = _require(data, "sigma", float, "config") if "sigma" in data else 0.0
+    scalars = {
+        key: _require(data, key, kind, "config") if key in data else default
+        for key, (kind, default, _, _) in _SCALARS.items()
+    }
     out = _require(data, "out", str, "config") if "out" in data else None
 
     state = _state_from(data["state"]) if "state" in data else None
     density = _density_from(data["density_matrix"]) if "density_matrix" in data else None
 
-    cavity = None
-    if "cavity" in data:
-        section = data["cavity"]
-        if not isinstance(section, dict):
-            raise ConfigError(f"cavity must be a mapping with keys {_CAVITY_KEYS}")
-        unknown = set(section) - set(_CAVITY_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown key cavity.{sorted(unknown)[0]}")
-        missing = set(_CAVITY_KEYS) - set(section)
-        if missing:
-            raise ConfigError(f"missing key cavity.{sorted(missing)[0]}")
-        values = {k: _require(section, k, float, "cavity") for k in _CAVITY_KEYS}
-        try:
-            cavity = CavityParams(**values)
-        except ValueError as exc:
-            raise ConfigError(f"cavity: {exc}") from None
+    sections = dict.fromkeys(_SECTIONS)
+    for name, build in (("cavity", CavityParams), ("sweep", SweepSpec)):
+        if name in data:
+            try:
+                sections[name] = build(**_section(data[name], _SECTIONS[name][0], name))
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
 
-    sweep = None
-    if "sweep" in data:
-        section = data["sweep"]
-        if not isinstance(section, dict):
-            raise ConfigError(f"sweep must be a mapping with keys {_SWEEP_KEYS}")
-        unknown = set(section) - set(_SWEEP_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown key sweep.{sorted(unknown)[0]}")
-        missing = set(_SWEEP_KEYS) - set(section)
-        if missing:
-            raise ConfigError(f"missing key sweep.{sorted(missing)[0]}")
-        sweep = SweepSpec(
-            axis=_require(section, "axis", str, "sweep"),
-            start=_require(section, "start", float, "sweep"),
-            stop=_require(section, "stop", float, "sweep"),
-            steps=_require(section, "steps", int, "sweep"),
-        )
-
-    if trials < 1:
-        raise ConfigError(f"trials must be positive, got {trials}")
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if not 0.0 < eta_a <= 1.0:
-        raise ConfigError(
-            f"eta_a must lie in (0, 1], got {eta_a}: zero detection efficiency cannot be divided out"
-        )
-    if not abs(sigma) < math.pi / 2.0:
-        raise ConfigError(f"sigma must satisfy |sigma| < pi/2, got {sigma}")
+    for key, value in scalars.items():
+        _check_range(key, value)
+    sweep = sections["sweep"]
+    if sweep is not None and sweep.axis in _SCALARS:
+        for value in sweep.values():
+            _check_range(sweep.axis, sweep.point(float(value))[sweep.axis], "sweep: ")
 
     config = RunConfig(
-        mode=mode,
-        state=state,
-        trials=trials,
-        seed=seed,
-        eta_a=eta_a,
-        sigma=sigma,
-        cavity=cavity,
-        density_matrix=density,
-        sweep=sweep,
-        out=out,
+        mode=mode, state=state, density_matrix=density, out=out, **scalars, **sections
     )
     _check_mode_requirements(config)
     return config
@@ -278,13 +258,19 @@ def _check_mode_requirements(config: RunConfig) -> None:
         raise ConfigError("mode 'sweep' needs the 'sweep' section (or the --sweep-* flags)")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate one JSON config document."""
+def _load_document(text: str) -> dict:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return _config_from_mapping(data)
+    if not isinstance(data, dict):
+        raise ConfigError("config document must be a mapping")
+    return data
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate one JSON config document."""
+    return _config_from_mapping(_load_document(text))
 
 
 def _pair(z: complex) -> list[float]:
@@ -292,13 +278,7 @@ def _pair(z: complex) -> list[float]:
 
 
 def _echo_inputs(config: RunConfig) -> dict:
-    inputs: dict = {
-        "mode": config.mode,
-        "trials": config.trials,
-        "seed": config.seed,
-        "eta_a": config.eta_a,
-        "sigma": config.sigma,
-    }
+    inputs: dict = {"mode": config.mode, **{key: getattr(config, key) for key in _SCALARS}}
     if config.state is not None:
         inputs["state"] = {
             key: _pair(amp)
@@ -308,15 +288,10 @@ def _echo_inputs(config: RunConfig) -> dict:
         inputs["density_matrix"] = [
             [_pair(entry) for entry in row] for row in config.density_matrix
         ]
-    if config.cavity is not None:
-        inputs["cavity"] = {key: getattr(config.cavity, key) for key in _CAVITY_KEYS}
-    if config.sweep is not None:
-        inputs["sweep"] = {
-            "axis": config.sweep.axis,
-            "start": config.sweep.start,
-            "stop": config.sweep.stop,
-            "steps": config.sweep.steps,
-        }
+    for name, (keys, _) in _SECTIONS.items():
+        section = getattr(config, name)
+        if section is not None:
+            inputs[name] = {key: getattr(section, key) for key in keys}
     if config.out is not None:
         inputs["out"] = config.out
     return inputs
@@ -408,16 +383,7 @@ def _run_phases(config: RunConfig) -> dict:
 
 
 def _sweep_point(config: RunConfig, index: int, value: float) -> tuple:
-    axis = config.sweep.axis
-    if axis == "sigma":
-        point = {"sigma": value}
-    elif axis == "eta_a":
-        point = {"eta_a": value}
-    elif axis == "trials":
-        point = {"trials": max(1, int(round(value)))}
-    else:
-        point = {"state": TwoPhotonState(math.cos(value), 0.0, 0.0, math.sin(value))}
-    config = replace(config, seed=(config.seed + index) % 2**64, **point)
+    config = replace(config, seed=(config.seed + index) % 2**64, **config.sweep.point(value))
     report = _estimate(config)
     return (
         value,
@@ -476,7 +442,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", choices=MODES, help="overrides the config mode")
     parser.add_argument("--trials", type=int, metavar="N")
     parser.add_argument("--seed", type=int, metavar="S")
-    parser.add_argument("--eta", type=float, metavar="X", help="detection efficiency in (0, 1]")
+    parser.add_argument("--eta", dest="eta_a", type=float, metavar="X",
+                        help="detection efficiency in (0, 1]")
     parser.add_argument("--sigma", type=float, metavar="X", help="coupled-phase error in radians")
     parser.add_argument("--out", metavar="PATH", help="also write the payload to this file")
     parser.add_argument(
@@ -484,12 +451,15 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar=("aRE", "aIM", "bRE", "bIM", "cRE", "cIM", "dRE", "dIM"),
         help="amplitudes of |RR>, |RL>, |LR>, |LL> as re/im pairs",
     )
-    for flag in ("--omega-c", "--omega-p", "--omega-0", "--kappa", "--gamma", "--coupling"):
-        parser.add_argument(flag, type=float, metavar="X", help="cavity parameter (phases mode)")
-    parser.add_argument("--sweep-axis", choices=SWEEP_AXES)
-    parser.add_argument("--sweep-start", type=float, metavar="X")
-    parser.add_argument("--sweep-stop", type=float, metavar="X")
-    parser.add_argument("--sweep-steps", type=int, metavar="N")
+    for name, (keys, prefix) in _SECTIONS.items():
+        for key, kind in keys.items():
+            # the one text key, sweep.axis, names one of the sweep axes
+            parser.add_argument(
+                prefix + key.replace("_", "-"), dest=f"{name}.{key}", type=kind,
+                choices=SWEEP_AXES if kind is str else None,
+                metavar=None if kind is str else "N" if kind is int else "X",
+                help=f"config key {name}.{key}",
+            )
     return parser
 
 
@@ -498,46 +468,28 @@ def _merge_flags(data: dict, args: argparse.Namespace) -> dict:
     mode = args.mode_positional or args.mode
     if mode is not None:
         merged["mode"] = mode
-    for key, value in (
-        ("trials", args.trials),
-        ("seed", args.seed),
-        ("eta_a", args.eta),
-        ("sigma", args.sigma),
-        ("out", args.out),
-    ):
-        if value is not None:
-            merged[key] = value
+    for key in (*_SCALARS, "out"):
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     if args.state is not None:
-        re_a, im_a, re_b, im_b, re_c, im_c, re_d, im_d = args.state
-        merged["state"] = {
-            "alpha": [re_a, im_a],
-            "beta": [re_b, im_b],
-            "gamma": [re_c, im_c],
-            "delta": [re_d, im_d],
-        }
-    cavity_flags = {
-        "omega_c": args.omega_c,
-        "omega_p": args.omega_p,
-        "omega_0": args.omega_0,
-        "kappa": args.kappa,
-        "gamma": args.gamma,
-        "coupling": args.coupling,
-    }
-    if any(v is not None for v in cavity_flags.values()):
-        section = dict(merged.get("cavity", {}))
-        section.update({k: v for k, v in cavity_flags.items() if v is not None})
-        merged["cavity"] = section
-    sweep_flags = {
-        "axis": args.sweep_axis,
-        "start": args.sweep_start,
-        "stop": args.sweep_stop,
-        "steps": args.sweep_steps,
-    }
-    if any(v is not None for v in sweep_flags.values()):
-        section = dict(merged.get("sweep", {}))
-        section.update({k: v for k, v in sweep_flags.items() if v is not None})
-        merged["sweep"] = section
+        merged["state"] = dict(zip(_AMPLITUDE_KEYS, zip(args.state[::2], args.state[1::2])))
+    for name, (keys, _) in _SECTIONS.items():
+        flags = {key: getattr(args, f"{name}.{key}") for key in keys}
+        flags = {key: value for key, value in flags.items() if value is not None}
+        section = merged.get(name, {})
+        # a section that is not a mapping is left for _section to reject
+        if flags and isinstance(section, dict):
+            merged[name] = {**section, **flags}
     return merged
+
+
+# The first class an error is an instance of gives the exit code.
+_EXIT_CODES = (
+    (ConfigError, 2),
+    ((InconsistentObservationError, NonInvertibleError), 4),
+    (FaradaymeterError, 3),
+    (ValueError, 2),
+)
 
 
 def main(argv=None) -> int:
@@ -548,30 +500,13 @@ def main(argv=None) -> int:
         if args.config is not None:
             try:
                 with open(args.config, "r", encoding="utf-8") as handle:
-                    text = handle.read()
+                    data = _load_document(handle.read())
             except OSError as exc:
                 raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-            try:
-                loaded = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from None
-            if not isinstance(loaded, dict):
-                raise ConfigError("config document must be a mapping")
-            data = loaded
-        config = _config_from_mapping(_merge_flags(data, args))
-        return run(config)
-    except ConfigError as exc:
+        return run(_config_from_mapping(_merge_flags(data, args)))
+    except (FaradaymeterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InconsistentObservationError, NonInvertibleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (NumericalFailureError, FaradaymeterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -35,7 +35,6 @@ from .protocol import TwoPhotonState, stage_probabilities
 # exactly two Philox counter increments.
 DRAWS_PER_TRIAL = 8
 
-_DEFAULT_CHUNK = 1 << 16
 _MAX_SEED = 2**64
 
 # Trials per reused draw buffer (256 KiB of draws), the fewest trials worth
@@ -217,27 +216,24 @@ def _count_span(
     return stage1, stage2
 
 
-def estimate(config: TrialConfig, *, chunk_size: int = _DEFAULT_CHUNK) -> EstimateReport:
+def estimate(config: TrialConfig) -> EstimateReport:
     """Run every trial of the configuration and summarize the counts.
 
-    ``chunk_size`` only bounds the per-thread draw buffer; any positive
-    value produces the identical report because each trial's draws sit at
-    a fixed counter offset, and so does any split of the trials across
-    threads.  Runs shorter than two minimum spans stay on the calling
+    Each trial's draws sit at a fixed counter offset, so any buffer size
+    and any split of the trials across threads produce the identical
+    report.  Runs shorter than two minimum spans stay on the calling
     thread.  Statistically awkward data does not raise: the corrected
     estimate is computed with clamping so a noisy run still yields a
     usable report.  A zero detection efficiency does raise
     NonInvertibleError, since there is nothing to divide out.
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size!r}")
     sampler = TrialSampler(config.state, config.phases)
     eta = config.imperfections.eta_a
     n = config.n_trials
     seed = config.master_seed
     workers = max(1, min(_MAX_WORKERS, _available_cpus(), n // _MIN_SPAN))
     bounds = [n * k // workers for k in range(workers + 1)]
-    rows = min(chunk_size, _BUFFER_TRIALS, bounds[1])
+    rows = min(_BUFFER_TRIALS, bounds[1])
     row = [sampler.p_plus1, eta, sampler.p_plus2, eta, sampler.p_plus3, eta, -1.0, -1.0]
     # tiled, not broadcast: against a contiguous operand the compare runs
     # in one vector loop instead of one 8-element loop per trial

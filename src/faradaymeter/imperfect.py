@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import InconsistentObservationError, NonInvertibleError
 from .faraday import ideal_phases, perturbed_phases
-from .protocol import TwoPhotonState, closed_form_outcome, run_analytic
+from .protocol import TwoPhotonState, run_analytic
 
 _SOFT_SIGMA_BOUND = math.pi / 4.0
 # Allow observed frequencies to undershoot the model floor by a little
@@ -164,9 +164,3 @@ def model_deviation(
     s1, s2 = simulated_observed_probabilities(state, sigma)
     return max(abs(s1 - m1), abs(s2 - m2))
 
-
-def expected_ptotal_with_imperfections(state: TwoPhotonState, params: ImperfectionParams) -> float:
-    """Model prediction for the observed coincidence probability of a run."""
-    ideal = closed_form_outcome(state)
-    q1, q2 = model_observed_probabilities(ideal.p1, ideal.p2, params.sigma)
-    return detection_scaled_ptotal(q1 * q2, params.eta_a)

@@ -45,7 +45,6 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 # Atom readout basis.
 ATOM_PLUS = np.array([_SQRT_HALF, _SQRT_HALF], dtype=complex)
-ATOM_MINUS = np.array([_SQRT_HALF, -_SQRT_HALF], dtype=complex)
 
 # Quarter-wave plate: R -> (R + L)/sqrt2, L -> (R - L)/sqrt2.
 QWP_HADAMARD = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex)
@@ -264,9 +263,3 @@ def closed_form_outcome(state: TwoPhotonState) -> ProtocolOutcome:
         return _failed(p1)
     return ProtocolOutcome(p1, p2, p_total, _concurrence_estimate(p_total))
 
-
-def concurrence_from_ptotal(p_total: float) -> float:
-    """Map a success probability back to a concurrence, clamped to [0, 1]."""
-    if not 0.0 <= p_total <= 0.25 + _ROUNDING_SLACK:
-        raise ValueError(f"success probability {p_total!r} outside [0, 1/4]")
-    return min(1.0, 2.0 * math.sqrt(p_total))

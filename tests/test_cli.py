@@ -336,20 +336,65 @@ class TestMain:
         assert "eta_a" in captured.err
         assert captured.out == ""
 
-    def test_eta_sweep_reaching_zero_is_a_config_error(self, capsys):
-        flags = ["sweep", *BELL_FLAGS, "--trials", "100", "--sweep-axis", "eta_a",
-                 "--sweep-start", "1.0", "--sweep-stop", "0.0", "--sweep-steps", "3"]
+    # every point of a sweep is range-checked before any point runs: the
+    # last point of each of these lies outside its key's range
+    @pytest.mark.parametrize(
+        "axis, start, stop, offending",
+        [("eta_a", "1.0", "0.0", "got 0.0"), ("trials", "1000", "-5", "got -5"),
+         ("sigma", "0.0", "2.0", "got 2.0")],
+        ids=["eta_a", "trials", "sigma"],
+    )
+    def test_eta_sweep_reaching_zero_is_a_config_error(self, axis, start, stop, offending, capsys):
+        flags = ["sweep", *BELL_FLAGS, "--trials", "100", "--sweep-axis", axis,
+                 "--sweep-start", start, "--sweep-stop", stop, "--sweep-steps", "3"]
         assert main(flags) == 2
         captured = capsys.readouterr()
-        assert "eta_a" in captured.err
+        assert axis in captured.err
+        assert offending in captured.err
         assert captured.out == ""
 
-    def test_zero_efficiency_rejected_in_config_document(self):
-        with pytest.raises(ConfigError, match="eta_a"):
-            parse_config(json.dumps({"mode": "simulate", "state": BELL_STATE, "eta_a": 0}))
-        sweep = {"axis": "eta_a", "start": 0.0, "stop": 0.5, "steps": 2}
-        with pytest.raises(ConfigError, match="eta_a"):
+    @pytest.mark.parametrize(
+        "key, bad, start, stop",
+        [("eta_a", 0, 0.0, 0.5), ("trials", 0, 0.4, 1000), ("sigma", 1.6, 0.0, -1.6)],
+        ids=["eta_a", "trials", "sigma"],
+    )
+    def test_zero_efficiency_rejected_in_config_document(self, key, bad, start, stop):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(json.dumps({"mode": "simulate", "state": BELL_STATE, key: bad}))
+        # a trials point of 0.4 rounds to 0 trials
+        sweep = {"axis": key, "start": start, "stop": stop, "steps": 2}
+        with pytest.raises(ConfigError, match=key):
             parse_config(json.dumps({"mode": "sweep", "state": BELL_STATE, "sweep": sweep}))
+
+    @pytest.mark.parametrize(
+        "mode, section, values, names",
+        [
+            ("phases", "cavity", IDEAL_CAVITY,
+             ["--omega-c", "--omega-p", "--omega-0", "--kappa", "--gamma", "--coupling"]),
+            ("sweep", "sweep", {"axis": "sigma", "start": 0.0, "stop": 0.2, "steps": 3},
+             ["--sweep-axis", "--sweep-start", "--sweep-stop", "--sweep-steps"]),
+        ],
+        ids=["cavity", "sweep"],
+    )
+    def test_section_flags_merge_into_partial_section(
+        self, mode, section, values, names, tmp_path, capsys
+    ):
+        common = [mode, *BELL_FLAGS, "--trials", "500", "--seed", "4"]
+
+        def payload(document: dict, flags: list) -> str:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(document))
+            assert main([*common, "--config", str(path), *flags]) == 0
+            return capsys.readouterr().out
+
+        all_flags = [item for name, value in zip(names, values.values()) for item in (name, str(value))]
+        key = list(values)[1]
+        override = [names[1], str(values[key])]
+        partial = {k: v for k, v in values.items() if k != key}
+        whole = payload({section: values}, [])
+        assert payload({}, all_flags) == whole
+        assert payload({section: partial}, override) == whole
+        assert payload({section: dict(partial, **{key: -1.0})}, override) == whole
 
 
 class TestDeterminism:

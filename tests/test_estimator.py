@@ -144,11 +144,6 @@ class TestEstimate:
     def test_different_seed_differs(self):
         assert estimate(bell_config(5000, 21)) != estimate(bell_config(5000, 22))
 
-    def test_chunking_does_not_change_counts(self):
-        config = bell_config(10_000, 33)
-        assert estimate(config, chunk_size=977) == estimate(config)
-        assert estimate(config, chunk_size=1) == estimate(config)
-
     def test_totals_match_per_trial_replay(self):
         # the vectorized path must reproduce the lazy per-trial path exactly
         n = 300
@@ -231,11 +226,9 @@ def spans(monkeypatch):
 
 
 class TestSpanSplit:
-    @pytest.mark.parametrize("chunk_size", [977, None])
-    def test_split_matches_serial_reference(self, spans, chunk_size):
+    def test_split_matches_serial_reference(self, spans):
         config = skewed_config(SPLIT_TRIALS, 4242)
-        kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
-        report = estimate(config, **kwargs)
+        report = estimate(config)
         assert sorted(spans) == [(0, 33093), (33093, 66187), (66187, SPLIT_TRIALS)]
         assert (report.stage1_successes, report.stage2_successes) == serial_counts(config)
 
@@ -265,7 +258,7 @@ class TestSpanSplit:
         reports = {}
 
         def call(config):
-            reports[config.master_seed] = estimate(config, chunk_size=977)
+            reports[config.master_seed] = estimate(config)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -12,7 +12,6 @@ from faradaymeter.imperfect import (
     ImperfectionParams,
     degraded_parity_probability,
     detection_scaled_ptotal,
-    expected_ptotal_with_imperfections,
     invert_parity_probability,
     leak_probability,
     model_deviation,
@@ -202,8 +201,3 @@ class TestModelAgainstSimulation:
             single = model_deviation(state, 0.2, stage1_leak_applications=1)
             double = model_deviation(state, 0.2, stage1_leak_applications=2)
             assert single < double
-
-    def test_expected_ptotal_combines_both_effects(self):
-        params = ImperfectionParams(eta_a=0.66, sigma=0.0)
-        expected = expected_ptotal_with_imperfections(BELL, params)
-        assert expected == pytest.approx(0.66**3 * 0.25, abs=1e-12)

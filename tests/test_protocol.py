@@ -13,7 +13,6 @@ from faradaymeter.protocol import (
     QWP_HADAMARD,
     TwoPhotonState,
     closed_form_outcome,
-    concurrence_from_ptotal,
     parity_check,
     prepare_joint,
     run_analytic,
@@ -220,22 +219,6 @@ class TestTargetState:
         assert basis_amplitude(target, bits) == pytest.approx(0.5 * SQ2**3)
         bits_same = dict(bits, a1=0, a2=0)
         assert basis_amplitude(target, bits_same) == 0.0
-
-
-class TestConcurrenceFromPtotal:
-    def test_values(self):
-        assert concurrence_from_ptotal(0.25) == pytest.approx(1.0)
-        assert concurrence_from_ptotal(0.0) == 0.0
-        assert concurrence_from_ptotal(0.01) == pytest.approx(0.2)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            concurrence_from_ptotal(0.3)
-        with pytest.raises(ValueError):
-            concurrence_from_ptotal(-0.01)
-
-    def test_rounding_slack_clamps(self):
-        assert concurrence_from_ptotal(0.25 + 5e-10) == 1.0
 
 
 class TestQwp:
