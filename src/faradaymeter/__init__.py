@@ -47,13 +47,11 @@ from .faraday import (
 from .imperfect import (
     ImperfectionParams,
     degraded_parity_probability,
-    detection_scaled_ptotal,
     invert_parity_probability,
     leak_probability,
     model_deviation,
     model_observed_probabilities,
     recover_concurrence,
-    simulated_observed_probabilities,
 )
 from .oracle import (
     concurrence_mixed,

@@ -114,6 +114,10 @@ class SweepSpec:
 # --sweep-axis).
 _SECTIONS = {"cavity": (_CAVITY_KEYS, "--"), "sweep": (_SWEEP_KEYS, "--sweep-")}
 
+# Inputs that only one mode reads; any other mode rejects them rather than
+# ignoring them.
+_ONLY_READ_IN = {"sweep": "sweep", "cavity": "phases", "density_matrix": "oracle"}
+
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
@@ -244,6 +248,11 @@ def _config_from_mapping(data: dict) -> RunConfig:
 
 
 def _check_mode_requirements(config: RunConfig) -> None:
+    for name, mode in _ONLY_READ_IN.items():
+        if getattr(config, name) is not None and config.mode != mode:
+            raise ConfigError(
+                f"{name!r} is only read in mode {mode!r}; mode {config.mode!r} would ignore it"
+            )
     needs_state = config.mode in ("analytic", "simulate") or (
         config.mode == "sweep" and config.sweep is not None and config.sweep.axis != "theta"
     )

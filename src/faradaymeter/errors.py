@@ -28,7 +28,7 @@ class NumericalFailureError(FaradaymeterError):
 
 
 class NonInvertibleError(FaradaymeterError):
-    """Imperfection parameters admit no inversion (total leak, zero efficiency)."""
+    """Imperfection parameters admit no inversion (a phase error that leaks every trial)."""
 
 
 class InconsistentObservationError(FaradaymeterError):

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .faraday import FaradayPhases
+from .faraday import FaradayPhases, perturbed_phases
 from .imperfect import ImperfectionParams, recover_concurrence
 from .protocol import TwoPhotonState, stage_probabilities
 
@@ -61,7 +61,11 @@ class TrialOutcome(NamedTuple):
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Everything a reproducible estimation run depends on."""
+    """Everything a reproducible estimation run depends on.
+
+    ``phases`` must be ``perturbed_phases(imperfections.sigma)``: the phase
+    error the trials run at is the one the correction divides out.
+    """
 
     n_trials: int
     master_seed: int
@@ -74,6 +78,11 @@ class TrialConfig:
             raise ValueError(f"n_trials must be a positive integer, got {self.n_trials!r}")
         if not isinstance(self.master_seed, int) or not 0 <= self.master_seed < _MAX_SEED:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
+        if self.phases != perturbed_phases(self.imperfections.sigma):
+            raise ValueError(
+                f"phases {self.phases!r} do not match the phase error "
+                f"sigma={self.imperfections.sigma!r} of the imperfections"
+            )
 
 
 @dataclass(frozen=True)
@@ -224,8 +233,7 @@ def estimate(config: TrialConfig) -> EstimateReport:
     report.  Runs shorter than two minimum spans stay on the calling
     thread.  Statistically awkward data does not raise: the corrected
     estimate is computed with clamping so a noisy run still yields a
-    usable report.  A zero detection efficiency does raise
-    NonInvertibleError, since there is nothing to divide out.
+    usable report.
     """
     sampler = TrialSampler(config.state, config.phases)
     eta = config.imperfections.eta_a

@@ -30,17 +30,18 @@ _FLUCTUATION_SLACK = 1e-9
 class ImperfectionParams:
     """Detector efficiency and coupled-phase error for one run.
 
-    ``eta_a`` must lie in [0, 1].  Any ``|sigma| < pi/2`` is accepted, but
-    the leak model is only a good description for small errors, so values
-    at or beyond pi/4 trigger a warning.
+    ``eta_a`` must lie in (0, 1]: a zero efficiency leaves nothing to divide
+    out.  Any ``|sigma| < pi/2`` is accepted, but the leak model is only a
+    good description for small errors, so values at or beyond pi/4 trigger
+    a warning.
     """
 
     eta_a: float = 1.0
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.eta_a <= 1.0:
-            raise ValueError(f"detection efficiency must lie in [0, 1], got {self.eta_a!r}")
+        if not 0.0 < self.eta_a <= 1.0:
+            raise ValueError(f"detection efficiency must lie in (0, 1], got {self.eta_a!r}")
         if not abs(self.sigma) < math.pi / 2.0:
             raise ValueError(f"phase error must satisfy |sigma| < pi/2, got {self.sigma!r}")
         if abs(self.sigma) >= _SOFT_SIGMA_BOUND:
@@ -51,15 +52,6 @@ class ImperfectionParams:
                 "regime |sigma| < pi/4",
                 stacklevel=3,
             )
-
-
-def detection_scaled_ptotal(p_total: float, eta_a: float) -> float:
-    """Observed coincidence probability after three detections at efficiency eta_a."""
-    if not 0.0 <= p_total <= 1.0:
-        raise ValueError(f"probability {p_total!r} outside [0, 1]")
-    if not 0.0 <= eta_a <= 1.0:
-        raise ValueError(f"detection efficiency must lie in [0, 1], got {eta_a!r}")
-    return eta_a**3 * p_total
 
 
 def leak_probability(sigma: float) -> float:
@@ -100,57 +92,27 @@ def recover_concurrence(
     params: ImperfectionParams,
     *,
     strict: bool = True,
-    stage1_leak_applications: int = 1,
 ) -> float:
     """Calibrated concurrence from observed stage probabilities.
 
     Inverts the leak on each stage, divides the three detection factors out
     of the product and maps through ``2 sqrt(p_total)``.  The stage-1
-    observation covers two atom readouts; by default the leak correction is
-    applied to it once, matching the model that is measurably closer to the
-    exact simulation, while ``stage1_leak_applications=2`` treats the two
-    readouts as independently degraded.
+    observation covers two atom readouts, but the leak correction is applied
+    to it once: that model is measurably closer to the exact simulation than
+    one that treats the two readouts as independently degraded.
     """
-    if params.eta_a <= 0.0:
-        raise NonInvertibleError("zero detection efficiency cannot be divided out")
-    if stage1_leak_applications not in (1, 2):
-        raise ValueError("stage1_leak_applications must be 1 or 2")
-    q1 = p1_observed
-    for _ in range(stage1_leak_applications):
-        q1 = invert_parity_probability(q1, params.sigma, strict=strict)
+    q1 = invert_parity_probability(p1_observed, params.sigma, strict=strict)
     q2 = invert_parity_probability(p2_observed, params.sigma, strict=strict)
     p_total = q1 * q2 / params.eta_a**3
     return min(1.0, 2.0 * math.sqrt(p_total))
 
 
-def model_observed_probabilities(
-    p1: float,
-    p2: float,
-    sigma: float,
-    *,
-    stage1_leak_applications: int = 1,
-) -> tuple[float, float]:
+def model_observed_probabilities(p1: float, p2: float, sigma: float) -> tuple[float, float]:
     """Forward model: ideal stage probabilities as seen under a phase error."""
-    if stage1_leak_applications not in (1, 2):
-        raise ValueError("stage1_leak_applications must be 1 or 2")
-    q1 = p1
-    for _ in range(stage1_leak_applications):
-        q1 = degraded_parity_probability(q1, sigma)
-    return q1, degraded_parity_probability(p2, sigma)
+    return degraded_parity_probability(p1, sigma), degraded_parity_probability(p2, sigma)
 
 
-def simulated_observed_probabilities(state: TwoPhotonState, sigma: float) -> tuple[float, float]:
-    """Exact stage probabilities from a full run at the perturbed phases."""
-    outcome = run_analytic(state, perturbed_phases(sigma))
-    return outcome.p1, outcome.p2
-
-
-def model_deviation(
-    state: TwoPhotonState,
-    sigma: float,
-    *,
-    stage1_leak_applications: int = 1,
-) -> float:
+def model_deviation(state: TwoPhotonState, sigma: float) -> float:
     """Largest gap between the leak model and the exact perturbed simulation.
 
     Useful for checking that the model error vanishes quadratically as the
@@ -158,9 +120,6 @@ def model_deviation(
     measured data.
     """
     ideal = run_analytic(state, ideal_phases())
-    m1, m2 = model_observed_probabilities(
-        ideal.p1, ideal.p2, sigma, stage1_leak_applications=stage1_leak_applications
-    )
-    s1, s2 = simulated_observed_probabilities(state, sigma)
-    return max(abs(s1 - m1), abs(s2 - m2))
-
+    m1, m2 = model_observed_probabilities(ideal.p1, ideal.p2, sigma)
+    exact = run_analytic(state, perturbed_phases(sigma))
+    return max(abs(exact.p1 - m1), abs(exact.p2 - m2))

@@ -91,37 +91,13 @@ class StateVector:
             raise LabelError(f"no qubit {label!r} in register {self.labels!r}") from None
 
 
-def from_amplitudes(labels, amps, *, normalize: bool = False) -> StateVector:
-    """Build a state from an explicit amplitude vector.
-
-    With ``normalize=False`` the vector must already have unit norm to within
-    1e-10; with ``normalize=True`` any nonzero vector is accepted and scaled.
-    """
+def from_amplitudes(labels, amps) -> StateVector:
+    """Build a state from an explicit amplitude vector of unit norm (to 1e-10)."""
     state = StateVector(np.asarray(amps, dtype=complex), tuple(labels))
     nrm = state.norm()
-    if normalize:
-        if nrm < EMPTY_BRANCH_CUTOFF:
-            raise ValueError("cannot normalize a (near-)zero vector")
-        return StateVector(state.amps / nrm, state.labels)
     if abs(nrm - 1.0) > _UNITARITY_TOL:
         raise ValueError(f"amplitudes have norm {nrm!r}, expected 1")
     return state
-
-
-def basis_state(labels, bits: dict[str, int]) -> StateVector:
-    """Computational basis state; ``bits`` maps every label to 0 or 1."""
-    labels = tuple(labels)
-    if set(bits) != set(labels):
-        raise LabelError(f"bit assignment {sorted(bits)} does not match {labels!r}")
-    index = 0
-    for k, lab in enumerate(labels):
-        b = bits[lab]
-        if b not in (0, 1):
-            raise ValueError(f"bit for {lab!r} must be 0 or 1, got {b!r}")
-        index |= b << k
-    amps = np.zeros(2 ** len(labels), dtype=complex)
-    amps[index] = 1.0
-    return StateVector(amps, labels)
 
 
 def qubit_state(label: str, amp0: complex, amp1: complex) -> StateVector:

@@ -366,6 +366,34 @@ class TestMain:
         with pytest.raises(ConfigError, match=key):
             parse_config(json.dumps({"mode": "sweep", "state": BELL_STATE, "sweep": sweep}))
 
+    # each of these inputs is read by one mode only; the others reject it
+    # instead of echoing it unused
+    @pytest.mark.parametrize(
+        "mode, section",
+        [(mode, section)
+         for section, reader in (("sweep", "sweep"), ("cavity", "phases"),
+                                 ("density_matrix", "oracle"))
+         for mode in ("analytic", "simulate", "oracle", "phases", "sweep")
+         if mode != reader],
+    )
+    def test_section_outside_its_mode_is_a_config_error(self, mode, section, tmp_path, capsys):
+        inputs = {
+            "sweep": {"axis": "sigma", "start": 0.0, "stop": 0.2, "steps": 3},
+            "cavity": IDEAL_CAVITY,
+            "density_matrix": [[1.0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        }
+        document = {"mode": mode, "state": BELL_STATE, "trials": 100, section: inputs[section]}
+        own = {"sweep": "sweep", "phases": "cavity"}.get(mode)
+        if own is not None:  # the section the mode needs, so only the extra one is wrong
+            document[own] = inputs[own]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        assert main(["--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"'{section}'" in captured.err
+        assert f"mode '{mode}'" in captured.err
+
     @pytest.mark.parametrize(
         "mode, section, values, names",
         [

@@ -52,6 +52,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             bell_config(10, 2**64)
 
+    def test_phases_must_match_sigma(self):
+        # the trials' phase error and the one corrected for have one source
+        with pytest.raises(ValueError, match="sigma=0.3"):
+            bell_config(10, 1, ImperfectionParams(sigma=0.3))
+        with pytest.raises(ValueError, match="sigma=0.0"):
+            bell_config(10, 1, IDEAL, sigma=0.1)
+        matched = bell_config(10, 1, ImperfectionParams(sigma=0.3), sigma=0.3)
+        assert matched.phases == perturbed_phases(0.3)
+
     def test_report_invariants_enforced(self):
         with pytest.raises(ValueError):
             EstimateReport(
@@ -147,10 +156,10 @@ class TestEstimate:
     def test_totals_match_per_trial_replay(self):
         # the vectorized path must reproduce the lazy per-trial path exactly
         n = 300
-        config = bell_config(n, 55, ImperfectionParams(eta_a=0.8), sigma=0.1)
+        params = ImperfectionParams(eta_a=0.8, sigma=0.1)
+        config = bell_config(n, 55, params, sigma=0.1)
         outcomes = [
-            run_trial(BELL, perturbed_phases(0.1), ImperfectionParams(eta_a=0.8), trial_stream(55, i))
-            for i in range(n)
+            run_trial(BELL, perturbed_phases(0.1), params, trial_stream(55, i)) for i in range(n)
         ]
         report = estimate(config)
         assert report.stage1_successes == sum(o.stage1_pass for o in outcomes)

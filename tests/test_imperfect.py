@@ -7,19 +7,23 @@ import numpy as np
 import pytest
 
 from faradaymeter.errors import InconsistentObservationError, NonInvertibleError
-from faradaymeter.faraday import perturbed_phases
+from faradaymeter.faraday import ideal_phases, perturbed_phases
 from faradaymeter.imperfect import (
     ImperfectionParams,
     degraded_parity_probability,
-    detection_scaled_ptotal,
     invert_parity_probability,
     leak_probability,
     model_deviation,
     model_observed_probabilities,
     recover_concurrence,
-    simulated_observed_probabilities,
 )
-from faradaymeter.protocol import ATOM_PLUS, TwoPhotonState, closed_form_outcome, parity_check
+from faradaymeter.protocol import (
+    ATOM_PLUS,
+    TwoPhotonState,
+    closed_form_outcome,
+    parity_check,
+    run_analytic,
+)
 from faradaymeter.qstate import from_amplitudes, project_qubit, qubit_state, tensor_product
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -54,23 +58,6 @@ class TestParams:
         params = ImperfectionParams()
         assert params.eta_a == 1.0
         assert params.sigma == 0.0
-
-
-class TestDetectionScaling:
-    def test_perfect_detection(self):
-        assert detection_scaled_ptotal(0.25, 1.0) == 0.25
-
-    def test_cubed_efficiency(self):
-        assert detection_scaled_ptotal(1.0, 0.66) == pytest.approx(0.287496, abs=1e-12)
-
-    def test_zero_efficiency(self):
-        assert detection_scaled_ptotal(0.25, 0.0) == 0.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            detection_scaled_ptotal(1.5, 0.5)
-        with pytest.raises(ValueError):
-            detection_scaled_ptotal(0.5, 1.5)
 
 
 class TestLeak:
@@ -153,7 +140,9 @@ class TestRecover:
         assert recovered == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_efficiency_rejected(self):
-        with pytest.raises(NonInvertibleError):
+        # a zero efficiency is refused when the parameters are built, so the
+        # recovery never divides by eta_a**3 == 0
+        with pytest.raises(ValueError):
             recover_concurrence(0.5, 0.5, ImperfectionParams(eta_a=0.0))
 
     def test_detection_correction_order_is_immaterial(self):
@@ -166,16 +155,6 @@ class TestRecover:
         stagewise = 2.0 * math.sqrt((q1 / params.eta_a**2) * (q2 / params.eta_a))
         assert combined == pytest.approx(min(1.0, stagewise), abs=1e-12)
 
-    def test_compound_switch_differs(self):
-        params = ImperfectionParams(sigma=0.2)
-        single = recover_concurrence(0.45, 0.40, params, stage1_leak_applications=1)
-        double = recover_concurrence(0.45, 0.40, params, stage1_leak_applications=2)
-        assert single == pytest.approx(0.8010554019596875, abs=1e-12)
-        assert double == pytest.approx(0.7786937052827791, abs=1e-12)
-        assert double < single
-        with pytest.raises(ValueError):
-            recover_concurrence(0.45, 0.40, params, stage1_leak_applications=3)
-
     def test_result_clamped(self):
         params = ImperfectionParams(eta_a=0.5)
         assert recover_concurrence(1.0, 1.0, params) == 1.0
@@ -185,9 +164,9 @@ class TestModelAgainstSimulation:
     def test_observed_probabilities_exceed_ideal(self):
         sigma = 0.2
         ideal = closed_form_outcome(BELL)
-        s1, s2 = simulated_observed_probabilities(BELL, sigma)
-        assert s1 > ideal.p1 - 1e-12
-        assert s2 > ideal.p2
+        exact = run_analytic(BELL, perturbed_phases(sigma))
+        assert exact.p1 > ideal.p1 - 1e-12
+        assert exact.p2 > ideal.p2
 
     def test_deviation_shrinks_quadratically(self):
         big = model_deviation(BELL, 0.2)
@@ -197,7 +176,17 @@ class TestModelAgainstSimulation:
         assert small < 0.5 * big
 
     def test_single_application_closer_than_compound(self):
+        # the model applies the stage-1 leak once; degrading stage 1 twice,
+        # once per atom readout, lands farther from the exact perturbed run
+        sigma = 0.2
         for state in (BELL, TwoPhotonState(0.8, 0, 0, 0.6)):
-            single = model_deviation(state, 0.2, stage1_leak_applications=1)
-            double = model_deviation(state, 0.2, stage1_leak_applications=2)
-            assert single < double
+            ideal = run_analytic(state, ideal_phases())
+            exact = run_analytic(state, perturbed_phases(sigma))
+            twice = degraded_parity_probability(
+                degraded_parity_probability(ideal.p1, sigma), sigma
+            )
+            double = max(
+                abs(exact.p1 - twice),
+                abs(exact.p2 - degraded_parity_probability(ideal.p2, sigma)),
+            )
+            assert model_deviation(state, sigma) < double
