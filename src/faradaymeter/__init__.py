@@ -30,6 +30,7 @@ from .estimator import (
     TrialConfig,
     TrialOutcome,
     estimate,
+    estimate_all,
     run_trial,
     trial_stream,
     wilson_interval,
@@ -66,6 +67,4 @@ from .protocol import (
     stage_probabilities,
     target_final_state,
 )
-from .qstate import StateVector
-
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -32,7 +32,7 @@ from .errors import (
     NonInvertibleError,
     NumericalFailureError,
 )
-from .estimator import EstimateReport, TrialConfig, estimate
+from .estimator import TrialConfig, estimate, estimate_all
 from .faraday import CavityParams, perturbed_phases, phases_from_params
 from .imperfect import ImperfectionParams, recover_concurrence
 from .oracle import concurrence_mixed, concurrence_pure, concurrence_pure_general
@@ -114,9 +114,19 @@ class SweepSpec:
 # --sweep-axis).
 _SECTIONS = {"cavity": (_CAVITY_KEYS, "--"), "sweep": (_SWEEP_KEYS, "--sweep-")}
 
-# Inputs that only one mode reads; any other mode rejects them rather than
-# ignoring them.
-_ONLY_READ_IN = {"sweep": "sweep", "cavity": "phases", "density_matrix": "oracle"}
+# The modes that read each optional top-level input; any other mode rejects
+# it rather than ignoring it.  `analytic` reads neither `trials` nor `seed`
+# but accepts both, so that its record, which echoes every scalar, replays.
+_READ_IN = {
+    "sweep": ("sweep",),
+    "cavity": ("phases",),
+    "density_matrix": ("oracle",),
+    "state": ("analytic", "simulate", "oracle", "sweep"),
+    "eta_a": ("analytic", "simulate", "sweep"),
+    "sigma": ("analytic", "simulate", "sweep"),
+    "trials": ("analytic", "simulate", "sweep"),
+    "seed": ("analytic", "simulate", "sweep"),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,16 +253,24 @@ def _config_from_mapping(data: dict) -> RunConfig:
     config = RunConfig(
         mode=mode, state=state, density_matrix=density, out=out, **scalars, **sections
     )
-    _check_mode_requirements(config)
+    _check_mode_requirements(config, data.keys())
     return config
 
 
-def _check_mode_requirements(config: RunConfig) -> None:
-    for name, mode in _ONLY_READ_IN.items():
-        if getattr(config, name) is not None and config.mode != mode:
+def _check_mode_requirements(config: RunConfig, given) -> None:
+    """Reject a config that lacks what its mode needs or gives what it ignores.
+
+    ``given`` holds the top-level keys the document and flags set.
+    """
+    for name, modes in _READ_IN.items():
+        if name in given and config.mode not in modes:
             raise ConfigError(
-                f"{name!r} is only read in mode {mode!r}; mode {config.mode!r} would ignore it"
+                f"{name!r} is not read in mode {config.mode!r}, which would ignore it"
             )
+    if "state" in given and config.sweep is not None and config.sweep.axis == "theta":
+        raise ConfigError(
+            "'state' is not read in mode 'sweep' along 'theta', whose points replace it"
+        )
     needs_state = config.mode in ("analytic", "simulate") or (
         config.mode == "sweep" and config.sweep is not None and config.sweep.axis != "theta"
     )
@@ -335,21 +353,19 @@ def _run_analytic(config: RunConfig) -> dict:
     }
 
 
-def _estimate(config: RunConfig) -> EstimateReport:
-    """Monte Carlo estimate for the state, trials, seed, eta_a and sigma of ``config``."""
-    return estimate(
-        TrialConfig(
-            n_trials=config.trials,
-            master_seed=config.seed,
-            state=config.state,
-            phases=perturbed_phases(config.sigma),
-            imperfections=config.imperfections,
-        )
+def _trial_config(config: RunConfig) -> TrialConfig:
+    """The Monte Carlo run for the state, trials, seed, eta_a and sigma of ``config``."""
+    return TrialConfig(
+        n_trials=config.trials,
+        master_seed=config.seed,
+        state=config.state,
+        phases=perturbed_phases(config.sigma),
+        imperfections=config.imperfections,
     )
 
 
 def _run_simulate(config: RunConfig) -> dict:
-    report = _estimate(config)
+    report = estimate(_trial_config(config))
     return {
         "trials": report.trials,
         "stage1_successes": report.stage1_successes,
@@ -391,28 +407,29 @@ def _run_phases(config: RunConfig) -> dict:
     }
 
 
-def _sweep_point(config: RunConfig, index: int, value: float) -> tuple:
-    config = replace(config, seed=(config.seed + index) % 2**64, **config.sweep.point(value))
-    report = _estimate(config)
-    return (
-        value,
-        report.p1_hat,
-        report.p2_hat,
-        report.p_total_hat,
-        report.c_hat,
-        report.corrected_c_hat,
-        concurrence_pure(config.state),
-        report.c_low,
-        report.c_high,
-    )
-
-
 def _run_sweep(config: RunConfig) -> str:
+    sweep = config.sweep
+    values = [float(value) for value in sweep.values()]
+    points = [
+        replace(config, seed=(config.seed + index) % 2**64, **sweep.point(value))
+        for index, value in enumerate(values)
+    ]
+    reports = estimate_all([_trial_config(point) for point in points])
     buffer = StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
-    for index, value in enumerate(config.sweep.values()):
-        row = _sweep_point(config, index, float(value))
+    for index, (value, point, report) in enumerate(zip(values, points, reports)):
+        row = (
+            value,
+            report.p1_hat,
+            report.p2_hat,
+            report.p_total_hat,
+            report.c_hat,
+            report.corrected_c_hat,
+            concurrence_pure(point.state),
+            report.c_low,
+            report.c_high,
+        )
         if not all(math.isfinite(v) for v in row):
             raise NumericalFailureError(f"non-finite value in sweep row {index}: {row!r}")
         writer.writerow(row)

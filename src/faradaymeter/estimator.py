@@ -8,19 +8,26 @@ at counter ``2 i``.  That layout makes the estimate a pure function of the
 configuration: trials can be replayed individually, batched or split across
 workers without changing a single outcome.
 
-``estimate`` cuts the trial range into contiguous spans, one per worker
-thread (numpy's Philox fill and ufuncs release the interpreter lock).  A
-span is one Philox stream started at counter ``2 lo`` and read on into a
-small buffer the worker reuses.  One fused compare per buffer turns a
-trial's eight draws into eight mask bytes, draw ``j`` below threshold
-``j``; read as one ``uint64`` word, a trial passes stage 1 when its first
-four bytes are set and stage 2 when its word equals the six-byte pattern.
+``estimate_all`` runs a batch of configurations, such as the points of a
+sweep, on one set of worker threads (numpy's Philox fill and ufuncs release
+the interpreter lock); ``estimate`` is a batch of one.  Each run is cut
+into contiguous trial spans, a long run into more spans than a short one,
+and the workers, the calling thread among them, take spans off one shared
+list until it is empty.  A span is one Philox stream started at counter
+``2 lo`` and read on into a small buffer the worker reuses.  One fused
+compare per buffer, against a threshold tile the span builds when it
+starts, turns a trial's eight draws into eight mask bytes, draw ``j``
+below threshold ``j``; read as one ``uint64`` word, a trial passes stage 1
+when its first four bytes are set and stage 2 when its word equals the
+six-byte pattern.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import NamedTuple
@@ -38,10 +45,14 @@ DRAWS_PER_TRIAL = 8
 _MAX_SEED = 2**64
 
 # Trials per reused draw buffer (256 KiB of draws), the fewest trials worth
-# a thread of their own, and the most threads one run starts.
+# a thread of their own, and the most threads one call starts.
 _BUFFER_TRIALS = 1 << 12
 _MIN_SPAN = 1 << 13
 _MAX_WORKERS = 4
+# Rows of the threshold tile each span builds (64 KiB): a tile per span
+# keeps memory flat in the number of runs, and a quarter buffer keeps the
+# busiest call's peak near one buffer per worker.
+_TILE_TRIALS = 1 << 10
 
 
 def _mask_word(flags) -> np.uint64:
@@ -201,10 +212,13 @@ def _count_span(
 ) -> tuple[int, int]:
     """Stage-1 and stage-2 passes among trials ``lo <= i < hi``.
 
-    ``thresholds`` is the per-trial threshold row repeated once per buffer
-    row; its length sets the buffer size.
+    ``thresholds`` is a tile of at most ``_BUFFER_TRIALS`` rows, each the
+    per-trial threshold row.  The reused draw buffer holds as many whole
+    tiles as fit in ``_BUFFER_TRIALS`` trials, but no more trials than the
+    span.
     """
-    rows = len(thresholds)
+    tile = len(thresholds)
+    rows = min(hi - lo, _BUFFER_TRIALS - _BUFFER_TRIALS % tile)
     gen = np.random.Generator(np.random.Philox(key=master_seed, counter=[2 * lo, 0, 0, 0]))
     draws = np.empty((rows, DRAWS_PER_TRIAL))
     words = np.empty(rows, dtype=np.uint64)
@@ -214,9 +228,16 @@ def _count_span(
     stage2 = 0
     for start in range(lo, hi, rows):
         count = min(rows, hi - start)
+        whole = count - count % tile
+        tiled = (whole // tile, tile, DRAWS_PER_TRIAL)
         block, word, hit = draws[:count], words[:count], hits[:count]
         gen.random(out=block)
-        np.less(block, thresholds[:count], out=mask[:count])
+        # the tile is contiguous, so the compare runs one vector loop per
+        # tile instead of one 8-element loop per trial; trials past the
+        # whole tiles, in a span's last buffer, meet the tile's leading rows
+        np.less(block[:whole].reshape(tiled), thresholds, out=mask[:whole].reshape(tiled))
+        if whole < count:
+            np.less(block[whole:], thresholds[: count - whole], out=mask[whole:count])
         np.equal(word, _STAGE2_WORD, out=hit)
         stage2 += int(np.count_nonzero(hit))
         np.bitwise_and(word, _STAGE1_WORD, out=word)
@@ -225,41 +246,43 @@ def _count_span(
     return stage1, stage2
 
 
-def estimate(config: TrialConfig) -> EstimateReport:
-    """Run every trial of the configuration and summarize the counts.
+def _count_tasks(tasks: list[tuple], workers: int) -> list[tuple[int, tuple[int, int]]]:
+    """``(run index, (stage-1, stage-2 passes))`` of every span task.
 
-    Each trial's draws sit at a fixed counter offset, so any buffer size
-    and any split of the trials across threads produce the identical
-    report.  Runs shorter than two minimum spans stay on the calling
-    thread.  Statistically awkward data does not raise: the corrected
-    estimate is computed with clamping so a noisy run still yields a
-    usable report.
+    A task is ``(run index, seed, threshold row, lo, hi)``.  ``workers``
+    threads, the calling thread one of them, each take the next task off
+    the one shared list until it is empty, and build the span's threshold
+    tile when they start it.
     """
-    sampler = TrialSampler(config.state, config.phases)
-    eta = config.imperfections.eta_a
-    n = config.n_trials
-    seed = config.master_seed
-    workers = max(1, min(_MAX_WORKERS, _available_cpus(), n // _MIN_SPAN))
-    bounds = [n * k // workers for k in range(workers + 1)]
-    rows = min(_BUFFER_TRIALS, bounds[1])
-    row = [sampler.p_plus1, eta, sampler.p_plus2, eta, sampler.p_plus3, eta, -1.0, -1.0]
-    # tiled, not broadcast: against a contiguous operand the compare runs
-    # in one vector loop instead of one 8-element loop per trial
-    thresholds = np.tile(np.array(row), (rows, 1))
-    if workers == 1:
-        counts = [_count_span(seed, thresholds, 0, n)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    pending = iter(tasks)
+    take = threading.Lock()
 
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            futures = [
-                pool.submit(_count_span, seed, thresholds, lo, hi)
-                for lo, hi in zip(bounds[1:-1], bounds[2:])
-            ]
-            counts = [_count_span(seed, thresholds, 0, bounds[1])]
-            counts += [future.result() for future in futures]
-    stage1 = sum(passes for passes, _ in counts)
-    stage2 = sum(passes for _, passes in counts)
+    def work() -> list:
+        counted = []
+        while True:
+            with take:
+                task = next(pending, None)
+            if task is None:
+                return counted
+            index, seed, row, lo, hi = task
+            thresholds = np.tile(row, (min(_TILE_TRIALS, hi - lo), 1))
+            counted.append((index, _count_span(seed, thresholds, lo, hi)))
+
+    if workers < 2:
+        return work()
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1, thread_name_prefix="faradaymeter-span") as pool:
+        futures = [pool.submit(work) for _ in range(workers - 1)]
+        counted = work()
+        for future in futures:
+            counted += future.result()
+    return counted
+
+
+def _report(config: TrialConfig, stage1: int, stage2: int) -> EstimateReport:
+    """Point estimates and the confidence interval of one run's counts."""
+    n = config.n_trials
     p1_hat = stage1 / n
     p2_hat = stage2 / stage1 if stage1 > 0 else 0.0
     p_total_hat = stage2 / n
@@ -278,3 +301,43 @@ def estimate(config: TrialConfig) -> EstimateReport:
         c_high=2.0 * math.sqrt(high),
         corrected_c_hat=corrected,
     )
+
+
+def estimate_all(configs: Sequence[TrialConfig]) -> list[EstimateReport]:
+    """Run every trial of each configuration and summarize each one's counts.
+
+    The runs are cut into contiguous trial spans, a run long relative to
+    the batch into several, and all spans of all runs are dealt out to one
+    set of worker threads: as many as the CPUs the process may run on, at
+    most ``_MAX_WORKERS``, and no more than there are spans.  Each trial's
+    draws sit at a fixed
+    counter offset, so any buffer size, split and schedule produce the
+    identical reports.  The samplers and the reports are built on the
+    calling thread, in order.  Statistically awkward data does not raise:
+    the corrected estimate is computed with clamping so a noisy run still
+    yields a usable report.
+    """
+    cpus = min(_MAX_WORKERS, _available_cpus())
+    total = sum(config.n_trials for config in configs)
+    tasks = []
+    for index, config in enumerate(configs):
+        sampler = TrialSampler(config.state, config.phases)
+        eta = config.imperfections.eta_a
+        row = [sampler.p_plus1, eta, sampler.p_plus2, eta, sampler.p_plus3, eta, -1.0, -1.0]
+        n = config.n_trials
+        # spans in proportion to the run's share of the batch, at most one
+        # per CPU and per _MIN_SPAN trials, so a batch of one run splits as
+        # far as its length allows and a run under 2 _MIN_SPAN never splits
+        parts = max(1, min(cpus, n // _MIN_SPAN, round(cpus * n / total)))
+        bounds = [n * k // parts for k in range(parts + 1)]
+        tasks += [(index, config.master_seed, row, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    counts = [[0, 0] for _ in configs]
+    for index, (stage1, stage2) in _count_tasks(tasks, min(cpus, len(tasks))):
+        counts[index][0] += stage1
+        counts[index][1] += stage2
+    return [_report(config, *passes) for config, passes in zip(configs, counts)]
+
+
+def estimate(config: TrialConfig) -> EstimateReport:
+    """The report of one configuration: ``estimate_all([config])[0]``."""
+    return estimate_all([config])[0]

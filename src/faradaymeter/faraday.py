@@ -17,7 +17,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import SingularParametersError
-from .qstate import ATOM_GL, ATOM_GR, POL_L, POL_R
+
+# Bit values of a photon's polarization and of an atom's ground sublevel.
+POL_R = 0
+POL_L = 1
+ATOM_GL = 0
+ATOM_GR = 1
 
 _BRANCH_SNAP = 1e-12
 

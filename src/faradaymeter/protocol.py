@@ -15,33 +15,28 @@ Pi_even``, so :func:`stage_probabilities` evaluates the whole protocol on
 the 16 photon amplitudes of the two copies, without atoms.  The labelled
 seven-qubit evolution (:func:`prepare_joint`, :func:`parity_check`,
 :func:`target_final_state`) is kept as the independent reference the core
-is tested against.
+is tested against; those functions import :mod:`faradaymeter.qstate` when
+called, so the production paths never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .faraday import FaradayPhases, interaction_table
-from .qstate import (
-    ATOM_GL,
-    ATOM_GR,
-    ATOM_LABELS,
-    EMPTY_BRANCH_CUTOFF,
-    FULL_REGISTER,
-    POL_L,
-    POL_R,
-    StateVector,
-    apply_diagonal_phase,
-    qubit_state,
-    reorder,
-    tensor_product,
-)
+from .faraday import ATOM_GL, ATOM_GR, POL_L, POL_R, FaradayPhases, interaction_table
+
+if TYPE_CHECKING:
+    from .qstate import StateVector
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+# Post-selection branches below this weight are reported as empty rather than
+# renormalized, since dividing by such a norm would only amplify noise.
+EMPTY_BRANCH_CUTOFF = 1e-15
 
 # Atom readout basis.
 ATOM_PLUS = np.array([_SQRT_HALF, _SQRT_HALF], dtype=complex)
@@ -107,6 +102,8 @@ class ProtocolOutcome:
 
 
 def _pair_state(state: TwoPhotonState, a_label: str, b_label: str) -> StateVector:
+    from .qstate import StateVector
+
     # Register (a, b) with a as the low bit: index = a_bit + 2 * b_bit.
     amps = np.array([state.alpha, state.gamma_c, state.beta, state.delta], dtype=complex)
     return StateVector(amps, (a_label, b_label))
@@ -118,6 +115,8 @@ def prepare_joint(state: TwoPhotonState) -> StateVector:
     Part of the seven-qubit reference engine; the protocol itself runs on
     :func:`stage_probabilities`.
     """
+    from .qstate import ATOM_LABELS, FULL_REGISTER, qubit_state, reorder, tensor_product
+
     joint = tensor_product(_pair_state(state, "a1", "b1"), _pair_state(state, "a2", "b2"))
     for atom in ATOM_LABELS:
         joint = tensor_product(joint, qubit_state(atom, _SQRT_HALF, _SQRT_HALF))
@@ -134,6 +133,8 @@ def parity_check(
 
     Part of the seven-qubit reference engine, which keeps the atom explicit.
     """
+    from .qstate import apply_diagonal_phase
+
     table = interaction_table(phases)
     first, second = photon_pair
     state = apply_diagonal_phase(state, (first, atom), table)
@@ -232,6 +233,8 @@ def target_final_state() -> StateVector:
     to |+>.  Reference only: the seven-qubit engine's surviving branch is
     tested against it.
     """
+    from .qstate import ATOM_LABELS, StateVector, qubit_state, tensor_product
+
     a_amps = np.array([0.0, _SQRT_HALF, -_SQRT_HALF, 0.0], dtype=complex)
     b_amps = np.array([0.0, -_SQRT_HALF, _SQRT_HALF, 0.0], dtype=complex)
     out = tensor_product(

@@ -5,8 +5,9 @@ Conventions, fixed package-wide:
 * A register is an ordered tuple of unique string labels.  The qubit at
   position ``k`` contributes ``bit_k * 2**k`` to the basis index, so the
   first label is the least significant bit.
-* Photon polarization maps ``|R> -> 0`` and ``|L> -> 1``.
-* Atomic ground sublevels map ``|g_L> -> 0`` and ``|g_R> -> 1``.
+* Photon polarization maps ``|R> -> 0`` and ``|L> -> 1``, and atomic
+  ground sublevels map ``|g_L> -> 0`` and ``|g_R> -> 1`` (``POL_*`` and
+  ``ATOM_*`` in :mod:`faradaymeter.faraday`).
 
 Every operation returns a new :class:`StateVector`; amplitudes are never
 mutated in place.  The seven-qubit register used by the measurement protocol
@@ -22,19 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LabelCollisionError, LabelError, NonUnitaryError
-
-POL_R = 0
-POL_L = 1
-ATOM_GL = 0
-ATOM_GR = 1
+from .protocol import EMPTY_BRANCH_CUTOFF
 
 PHOTON_LABELS = ("a1", "a2", "b1", "b2")
 ATOM_LABELS = ("atom1", "atom2", "atom3")
 FULL_REGISTER = PHOTON_LABELS + ATOM_LABELS
-
-# Post-selection branches below this weight are reported as empty rather than
-# renormalized, since dividing by such a norm would only amplify noise.
-EMPTY_BRANCH_CUTOFF = 1e-15
 
 _UNITARITY_TOL = 1e-10
 _BASIS_TOL = 1e-12

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,13 @@ SQ2 = 1.0 / math.sqrt(2.0)
 
 BELL_STATE = {"alpha": [SQ2, 0.0], "beta": [0.0, 0.0], "gamma": [0.0, 0.0], "delta": [SQ2, 0.0]}
 BELL_FLAGS = ["--state", str(SQ2), "0", "0", "0", "0", "0", str(SQ2), "0"]
+
+CAVITY_FLAGS = ["--omega-c", "5", "--omega-p", "4.5", "--omega-0", "5",
+                "--kappa", "1", "--gamma", "0", "--coupling", "0.5"]
+# one flag setting each input that some mode does not read
+INPUT_FLAGS = {"state": BELL_FLAGS, "sigma": ["--sigma", "0.3"], "eta_a": ["--eta", "0.5"],
+               "trials": ["--trials", "7"], "seed": ["--seed", "3"]}
+GOLDEN = Path(__file__).parent / "data"
 
 IDEAL_CAVITY = {
     "omega_c": 5.0,
@@ -284,6 +292,31 @@ class TestSweep:
         assert path.read_text(encoding="utf-8") == payload
 
 
+    # written by a build that ran the points one after another: however the
+    # points are scheduled, the table must not change by a byte
+    @pytest.mark.parametrize(
+        "name, flags",
+        [
+            ("sweep_readme.csv",
+             ["--state", "0", "0", str(SQ2), "0", str(-SQ2), "0", "0", "0",
+              "--sweep-axis", "sigma", "--sweep-start", "0", "--sweep-stop", "0.3",
+              "--sweep-steps", "7", "--trials", "20000", "--seed", "5"]),
+            ("sweep_theta.csv",
+             ["--sweep-axis", "theta", "--sweep-start", "0", "--sweep-stop", str(math.pi / 2),
+              "--sweep-steps", "9", "--trials", "30000", "--seed", "17", "--eta", "0.9",
+              "--sigma", "0.05"]),
+            ("sweep_trials.csv",
+             ["--state", "0.6", "0", "0", "0.3", "-0.2", "0", "0", "0.7141428428542850",
+              "--eta", "0.9", "--sweep-axis", "trials", "--sweep-start", "1000",
+              "--sweep-stop", "300000", "--sweep-steps", "6", "--seed", "23"]),
+        ],
+        ids=["readme", "theta", "trials"],
+    )
+    def test_table_matches_golden_output(self, name, flags, capsys):
+        assert main(["sweep", *flags]) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
 class TestMain:
     def test_flags_only_analytic(self, capsys):
         assert main(["analytic", *BELL_FLAGS]) == 0
@@ -394,6 +427,22 @@ class TestMain:
         assert f"'{section}'" in captured.err
         assert f"mode '{mode}'" in captured.err
 
+    # phases reads no top-level scalar and no state, oracle no scalar, and a
+    # theta sweep builds every point's state itself
+    @pytest.mark.parametrize(
+        "mode, needs, name",
+        [*[("phases", CAVITY_FLAGS, name) for name in INPUT_FLAGS],
+         *[("oracle", BELL_FLAGS, name) for name in INPUT_FLAGS if name != "state"],
+         ("sweep", ["--sweep-axis", "theta", "--sweep-start", "0", "--sweep-stop", "1",
+                    "--sweep-steps", "2"], "state")],
+    )
+    def test_unread_input_is_a_config_error(self, mode, needs, name, capsys):
+        assert main([mode, *needs, *INPUT_FLAGS[name]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"'{name}'" in captured.err
+        assert f"mode '{mode}'" in captured.err
+
     @pytest.mark.parametrize(
         "mode, section, values, names",
         [
@@ -407,7 +456,8 @@ class TestMain:
     def test_section_flags_merge_into_partial_section(
         self, mode, section, values, names, tmp_path, capsys
     ):
-        common = [mode, *BELL_FLAGS, "--trials", "500", "--seed", "4"]
+        # phases reads none of the state, trials and seed, and rejects them
+        common = [mode] if mode == "phases" else [mode, *BELL_FLAGS, "--trials", "500", "--seed", "4"]
 
         def payload(document: dict, flags: list) -> str:
             path = tmp_path / "config.json"
@@ -442,3 +492,9 @@ class TestDeterminism:
         second = subprocess.run(command, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout
+
+    def test_cli_import_leaves_out_the_reference_engine(self):
+        # the seven-qubit engine is a test reference, not a CLI dependency
+        code = "import sys, faradaymeter.cli; print('faradaymeter.qstate' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
+        assert result.stdout == b"False\n"

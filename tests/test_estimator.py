@@ -16,6 +16,7 @@ from faradaymeter.estimator import (
     TrialConfig,
     TrialSampler,
     estimate,
+    estimate_all,
     run_trial,
     trial_stream,
     wilson_interval,
@@ -303,6 +304,116 @@ class TestSpanSplit:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+def sweep_configs(steps, n, seed=900):
+    """The runs of a sigma sweep of the skewed state, seeded like the CLI's points."""
+    sigmas = np.linspace(0.0, 0.3, steps)
+    return [
+        TrialConfig(
+            n_trials=n,
+            master_seed=seed + index,
+            state=SKEWED,
+            phases=perturbed_phases(float(sigma)),
+            imperfections=ImperfectionParams(eta_a=0.8, sigma=float(sigma)),
+        )
+        for index, sigma in enumerate(sigmas)
+    ]
+
+
+def passes(report):
+    return report.stage1_successes, report.stage2_successes
+
+
+@pytest.fixture
+def span_log(monkeypatch):
+    """Offer two CPUs; record each span's seed, bounds and the live thread names."""
+    monkeypatch.setattr(estimator, "_available_cpus", lambda: 2)
+    recorded = []
+    count_span = estimator._count_span
+
+    def recording(seed, thresholds, lo, hi):
+        recorded.append((seed, lo, hi, {thread.name for thread in threading.enumerate()}))
+        return count_span(seed, thresholds, lo, hi)
+
+    monkeypatch.setattr(estimator, "_count_span", recording)
+    return recorded
+
+
+class TestBatch:
+    def test_sweep_matches_serial_reference(self, spans):
+        configs = sweep_configs(8, 20_000)
+        reports = estimate_all(configs)
+        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
+        assert reports == [estimate(config) for config in configs]
+
+    def test_sweep_points_are_one_span_each_on_one_pool_thread(self, span_log, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        configs = sweep_configs(8, 20_000)
+        estimate_all(configs)
+        assert sorted((seed, lo, hi) for seed, lo, hi, _ in span_log) == [
+            (config.master_seed, 0, config.n_trials) for config in configs
+        ]
+        assert len(started) == 1
+        assert started[0].startswith("faradaymeter-span")
+
+    def test_pool_threads_are_named_while_a_split_run_counts(self, span_log):
+        estimate(skewed_config(SPLIT_TRIALS, 12))
+        assert len(span_log) == 2
+        for *_, live in span_log:
+            assert any(name.startswith("faradaymeter-span") for name in live)
+
+    def test_long_run_in_a_batch_of_short_ones_is_split(self, spans):
+        short = 8000
+        configs = [skewed_config(SPLIT_TRIALS, 31)] + [skewed_config(short, s) for s in (32, 33, 34)]
+        reports = estimate_all(configs)
+        half = SPLIT_TRIALS // 2
+        assert sorted(spans) == sorted([(0, half), (half, SPLIT_TRIALS)] + [(0, short)] * 3)
+        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
+
+    def test_concurrent_batches_get_serial_counts(self, spans):
+        batches = [sweep_configs(3, 20_000, seed) + [skewed_config(SPLIT_TRIALS, seed)] for seed in (70, 80)]
+        results = {}
+
+        def call(index):
+            results[index] = estimate_all(batches[index])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(index,)) for index in range(2)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for index, batch in enumerate(batches):
+            assert [passes(report) for report in results[index]] == [serial_counts(c) for c in batch]
+
+    def test_memory_peak_is_flat_in_the_number_of_points(self, monkeypatch):
+        # a threshold tile per point would hold 200 x 64 KiB at once
+        monkeypatch.setattr(estimator, "_available_cpus", lambda: 64)
+        configs = sweep_configs(200, 5000)
+        estimate_all(configs)
+        tracemalloc.start()
+        try:
+            estimate_all(configs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_empty_batch(self):
+        assert estimate_all([]) == []
 
 
 class TestTrialStream:

@@ -8,6 +8,10 @@ import pytest
 
 from faradaymeter.errors import SingularParametersError
 from faradaymeter.faraday import (
+    ATOM_GL,
+    ATOM_GR,
+    POL_L,
+    POL_R,
     CavityParams,
     FaradayPhases,
     empty_cavity_coefficient,
@@ -19,7 +23,6 @@ from faradaymeter.faraday import (
     rb87_params,
     reflection_coefficient,
 )
-from faradaymeter.qstate import ATOM_GL, ATOM_GR, POL_L, POL_R
 
 # Exactly representable operating point: detunings and coupling are halves
 # of a power of two, so the ideal cancellation happens in exact arithmetic.

@@ -7,8 +7,7 @@ import pytest
 from seven_qubit_reference import reference_run
 
 from faradaymeter.faraday import FaradayPhases
-from faradaymeter.protocol import TwoPhotonState, stage_probabilities
-from faradaymeter.qstate import EMPTY_BRANCH_CUTOFF
+from faradaymeter.protocol import EMPTY_BRANCH_CUTOFF, TwoPhotonState, stage_probabilities
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
