@@ -96,6 +96,9 @@ class SweepSpec:
             raise ConfigError(f"sweep.axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         if self.steps < 2:
             raise ConfigError(f"sweep.steps must be at least 2, got {self.steps!r}")
+        for key in ("start", "stop"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"sweep.{key} must be finite, got {getattr(self, key)!r}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -193,14 +196,14 @@ def _state_from(data) -> TwoPhotonState:
     amps = np.array(list(_section(data, _AMPLITUDE_KEYS, "state").values()), dtype=complex)
     nrm = float(np.linalg.norm(amps))
     deviation = abs(nrm - 1.0)
-    if deviation > _RENORM_TOL:
+    # written so that a NaN norm fails the test
+    if not deviation <= _RENORM_TOL:
         raise ConfigError(
             f"state amplitudes have norm {nrm!r}; beyond the 1e-3 auto-normalization band"
         )
     if deviation > _EXACT_NORM_TOL:
         log.warning("state amplitudes renormalized from norm %r", nrm)
-    amps = amps / nrm
-    return TwoPhotonState(*amps)
+    return TwoPhotonState(*(amps / nrm).tolist())
 
 
 def _density_from(data) -> np.ndarray:
@@ -300,21 +303,16 @@ def parse_config(text: str) -> RunConfig:
     return _config_from_mapping(_load_document(text))
 
 
-def _pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
 def _echo_inputs(config: RunConfig) -> dict:
     inputs: dict = {"mode": config.mode, **{key: getattr(config, key) for key in _SCALARS}}
     if config.state is not None:
         inputs["state"] = {
-            key: _pair(amp)
+            key: [amp.real, amp.imag]
             for key, amp in zip(_AMPLITUDE_KEYS, config.state.amplitudes())
         }
     if config.density_matrix is not None:
-        inputs["density_matrix"] = [
-            [_pair(entry) for entry in row] for row in config.density_matrix
-        ]
+        # each complex entry as its [re, im] pair
+        inputs["density_matrix"] = config.density_matrix.view(float).reshape(4, 4, 2).tolist()
     for name, (keys, _) in _SECTIONS.items():
         section = getattr(config, name)
         if section is not None:
@@ -322,6 +320,68 @@ def _echo_inputs(config: RunConfig) -> dict:
     if config.out is not None:
         inputs["out"] = config.out
     return inputs
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_INF = math.inf
+
+
+def _nonfinite_text(value: float) -> str:
+    return "NaN" if value != value else "Infinity" if value > 0.0 else "-Infinity"
+
+
+def _write_json(value, chunks: list, newline: str = "\n") -> None:
+    """Append the text of ``json.dumps(value, indent=2, sort_keys=True)`` to ``chunks``.
+
+    The same bytes in one pass: json's own writer falls back to a
+    generator per container whenever it indents.  ``newline`` is the line
+    break plus the indent of the level ``value`` sits at.  Subclasses of
+    the JSON types (``np.float64``) are written as their base type; any
+    other type, and a key that is not a ``str``, raise ``TypeError``.
+    """
+    kind = type(value)
+    if kind is float:
+        chunks.append(_float_repr(value) if -_INF < value < _INF else _nonfinite_text(value))
+    elif kind is str:
+        chunks.append(_encode_str(value))
+    elif kind is dict:
+        if not value:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            chunks.append(separator + _encode_str(key) + ": ")
+            _write_json(value[key], chunks, inner)
+            separator = "," + inner
+        chunks.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            chunks.append(separator)
+            _write_json(item, chunks, inner)
+            separator = "," + inner
+        chunks.append(newline + "]")
+    elif kind is int:
+        chunks.append(int.__repr__(value))
+    elif value is None:
+        chunks.append("null")
+    elif kind is bool:
+        chunks.append("true" if value else "false")
+    else:
+        # json.dumps tests a subclass in this order
+        base = next((base for base in (str, int, float, list, tuple, dict)
+                     if isinstance(value, base)), None)
+        if base is None:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        _write_json(base(value), chunks, newline)
 
 
 def _record(config: RunConfig, results: dict) -> str:
@@ -332,7 +392,10 @@ def _record(config: RunConfig, results: dict) -> str:
         "results": results,
         "metadata": {"tool": "faradaymeter", "version": __version__},
     }
-    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+    chunks: list[str] = []
+    _write_json(record, chunks)
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def _run_analytic(config: RunConfig) -> dict:
@@ -449,10 +512,14 @@ def run(config: RunConfig, stream=None) -> int:
             "phases": _run_phases,
         }[config.mode](config)
         payload = _record(config, results)
-    stream.write(payload)
     if config.out is not None:
-        with open(config.out, "w", encoding="utf-8", newline="") as sink:
-            sink.write(payload)
+        # before stdout, so that a run that cannot keep its payload prints none
+        try:
+            with open(config.out, "w", encoding="utf-8", newline="") as sink:
+                sink.write(payload)
+        except OSError as exc:
+            raise ConfigError(f"cannot write out {config.out!r}: {exc}") from None
+    stream.write(payload)
     return 0
 
 

@@ -21,6 +21,7 @@ called, so the production paths never load it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -47,6 +48,9 @@ QWP_HADAMARD = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], d
 _QWP_PAIR = np.kron(QWP_HADAMARD, QWP_HADAMARD)
 
 _NORM_TOL = 1e-10
+# Distinct phases whose readout factors are kept: a sweep or a workload
+# visits only a few operating points.
+_READOUT_CACHE_SIZE = 32
 # Forgive only rounding-level excess when converting p_total to a concurrence.
 _ROUNDING_SLACK = 1e-9
 
@@ -70,13 +74,16 @@ class TwoPhotonState:
         for name in ("alpha", "beta", "gamma_c", "delta"):
             object.__setattr__(self, name, complex(getattr(self, name)))
         nrm = math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes()))
-        if abs(nrm - 1.0) > _NORM_TOL:
+        # written so that a NaN norm fails the test
+        if not abs(nrm - 1.0) <= _NORM_TOL:
             raise ValueError(f"two-photon amplitudes have norm {nrm!r}, expected 1")
 
     @classmethod
     def normalized(cls, alpha, beta, gamma_c, delta) -> "TwoPhotonState":
         amps = np.array([alpha, beta, gamma_c, delta], dtype=complex)
         nrm = float(np.linalg.norm(amps))
+        if not math.isfinite(nrm):
+            raise ValueError(f"two-photon amplitudes have norm {nrm!r}, expected a finite one")
         if nrm < EMPTY_BRANCH_CUTOFF:
             raise ValueError("cannot normalize a zero amplitude vector")
         return cls(*(amps / nrm))
@@ -152,6 +159,7 @@ def _failed(p1: float) -> ProtocolOutcome:
     return ProtocolOutcome(p1, 0.0, 0.0, 0.0)
 
 
+@functools.lru_cache(maxsize=_READOUT_CACHE_SIZE)
 def _readout_factors(phases: FaradayPhases) -> np.ndarray:
     """Factor ``K[x, y]`` a parity check plus |+> readout puts on photon bits (x, y).
 
@@ -159,7 +167,8 @@ def _readout_factors(phases: FaradayPhases) -> np.ndarray:
     interaction phase with the atom's ground sublevel, and the |+> readout
     averages the two sublevels: ``K[x, y] = (t(x, g_L) t(y, g_L) +
     t(x, g_R) t(y, g_R)) / 2``.  That is ``r r0`` for odd and
-    ``(r^2 + r0^2) / 2`` for even photon parity.
+    ``(r^2 + r0^2) / 2`` for even photon parity.  Built once per phases
+    and shared, so the array is read-only.
     """
     table = interaction_table(phases)
     t = np.array(
@@ -168,7 +177,9 @@ def _readout_factors(phases: FaradayPhases) -> np.ndarray:
             [table[(POL_L, ATOM_GL)], table[(POL_L, ATOM_GR)]],
         ]
     )
-    return 0.5 * (t @ t.T)
+    factors = 0.5 * (t @ t.T)
+    factors.flags.writeable = False
+    return factors
 
 
 def _readout(weight: float, previous: float) -> float:

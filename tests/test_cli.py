@@ -18,6 +18,7 @@ from faradaymeter.cli import (
     run,
 )
 from faradaymeter.errors import ConfigError
+from faradaymeter.faraday import rb87_params
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -31,6 +32,11 @@ INPUT_FLAGS = {"state": BELL_FLAGS, "sigma": ["--sigma", "0.3"], "eta_a": ["--et
                "trials": ["--trials", "7"], "seed": ["--seed", "3"]}
 GOLDEN = Path(__file__).parent / "data"
 
+# a Haar-random state: eight normals from numpy.random.default_rng(2014), normalized
+HAAR_FLAGS = ["--state", "-0.3100799017604816", "0.6027928573769098", "0.07666273963675066",
+              "-0.16086369782067797", "0.39250207416849453", "-0.553933073245642",
+              "0.21053297512168437", "-0.05927106561313009"]
+
 IDEAL_CAVITY = {
     "omega_c": 5.0,
     "omega_p": 4.5,
@@ -39,6 +45,43 @@ IDEAL_CAVITY = {
     "gamma": 0.0,
     "coupling": 0.5,
 }
+
+
+def werner_like(p: float) -> list:
+    """p |psi><psi| + (1 - p) I/4 for the Haar state, as [re, im] pairs."""
+    values = [float(v) for v in HAAR_FLAGS[1:]]
+    psi = [complex(re, im) for re, im in zip(values[::2], values[1::2])]
+    return [
+        [[(p * a * b.conjugate() + (1.0 - p) / 4.0 * (i == j)).real,
+          (p * a * b.conjugate()).imag] for j, b in enumerate(psi)]
+        for i, a in enumerate(psi)
+    ]
+
+
+# One record per mode, plus an imperfect analytic run and the mixed-state
+# oracle: the argv, and the config document it reads, if any.
+RECORD_CASES = {
+    "analytic_readme": (["analytic", "--state", "0", "0", str(SQ2), "0", str(-SQ2), "0", "0", "0"],
+                        None),
+    "analytic_haar": (["analytic", *HAAR_FLAGS, "--eta", "0.9", "--sigma", "0.05"], None),
+    "simulate": (["simulate", *HAAR_FLAGS, "--trials", "100000", "--eta", "0.8",
+                  "--sigma", "0.1", "--seed", "9"], None),
+    "oracle_pure": (["oracle", "--state", "0.8", "0", "0", "0", "0", "0", "0.6", "0"], None),
+    "oracle_mixed": (["oracle"], {"density_matrix": werner_like(0.7)}),
+    "phases_rb87": (["phases", *[item for key, value in vars(rb87_params()).items()
+                                 for item in (f"--{key.replace('_', '-')}", repr(value))]],
+                    None),
+}
+
+
+def record_argv(name: str, directory: Path) -> list:
+    """The command line of record case ``name``, its document written to ``directory``."""
+    argv, document = RECORD_CASES[name]
+    if document is None:
+        return argv
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(document))
+    return [*argv, "--config", str(path)]
 
 
 def capture(config: RunConfig) -> str:
@@ -199,6 +242,13 @@ class TestRecords:
         assert results["phi"] == pytest.approx(math.pi, abs=1e-9)
         assert results["phi0"] == pytest.approx(math.pi / 2, abs=1e-9)
         assert results["rotation_angle"] == pytest.approx(math.pi / 2, abs=1e-9)
+
+    # written by a build that printed records with json.dumps(indent=2,
+    # sort_keys=True): the record writer must reproduce it byte for byte
+    @pytest.mark.parametrize("name", sorted(RECORD_CASES))
+    def test_record_matches_golden_output(self, name, tmp_path, capsys):
+        assert main(record_argv(name, tmp_path)) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN / f"record_{name}.json").read_bytes()
 
     def test_analytic_with_imperfections(self):
         doc = {"mode": "analytic", "state": BELL_STATE, "eta_a": 0.66, "sigma": 0.02}
@@ -361,6 +411,44 @@ class TestMain:
         # low efficiency pushes the observed stage-1 value below the leak floor
         assert main(["analytic", *BELL_FLAGS, "--eta", "0.3", "--sigma", "0.44"]) == 4
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["analytic", "simulate"])
+    def test_nan_amplitude_is_a_config_error(self, mode, tmp_path, capsys):
+        # a NaN norm used to pass the norm check and give c_estimate 2.0
+        assert main([mode, "--state", "nan", "0", "0", "0", "0", "0", "1", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "norm nan" in captured.err
+        assert captured.out == ""
+        path = tmp_path / "config.json"
+        path.write_text('{"mode": "%s", "state": {"alpha": NaN, "beta": 0, "gamma": 0, '
+                        '"delta": 1}}' % mode)
+        assert main(["--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "norm nan" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("key, value", [("start", "nan"), ("stop", "inf")])
+    def test_theta_sweep_from_nan_is_a_config_error(self, key, value, capsys):
+        # a theta point of nan used to pass the state's norm check
+        bounds = {"start": "0", "stop": "1", key: value}
+        flags = ["sweep", "--trials", "100", "--sweep-axis", "theta", "--sweep-start",
+                 bounds["start"], "--sweep-stop", bounds["stop"], "--sweep-steps", "2"]
+        assert main(flags) == 2
+        captured = capsys.readouterr()
+        assert f"sweep.{key} must be finite, got {float(value)!r}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("mode", ["analytic", "sweep"])
+    def test_unwritable_out_is_a_config_error(self, mode, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.out"
+        sweep = ["--sweep-axis", "sigma", "--sweep-start", "0", "--sweep-stop", "0.1",
+                 "--sweep-steps", "2", "--trials", "100"]
+        flags = [mode, *BELL_FLAGS, *(sweep if mode == "sweep" else []), "--out", str(target)]
+        assert main(flags) == 2
+        captured = capsys.readouterr()
+        assert f"cannot write out {str(target)!r}" in captured.err
+        assert captured.out == ""
+        assert not target.exists()
 
     @pytest.mark.parametrize("mode", ["simulate", "analytic"])
     def test_zero_efficiency_is_a_config_error(self, mode, capsys):

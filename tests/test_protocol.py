@@ -9,9 +9,11 @@ from seven_qubit_reference import reference_run
 from faradaymeter.faraday import ideal_phases, perturbed_phases
 from faradaymeter.oracle import concurrence_pure
 from faradaymeter.protocol import (
+    _READOUT_CACHE_SIZE,
     ATOM_PLUS,
     QWP_HADAMARD,
     TwoPhotonState,
+    _readout_factors,
     closed_form_outcome,
     parity_check,
     prepare_joint,
@@ -62,6 +64,14 @@ class TestTwoPhotonState:
         assert state.delta == pytest.approx(0.8)
         with pytest.raises(ValueError):
             TwoPhotonState.normalized(0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("amps", [(math.nan, 0.0, 0.0, 1.0), (SQ2, complex(0.0, math.nan), 0.0, SQ2)])
+    def test_non_finite_amplitudes_rejected(self, amps):
+        # a NaN norm compares false against any bound
+        with pytest.raises(ValueError, match="norm nan"):
+            TwoPhotonState(*amps)
+        with pytest.raises(ValueError, match="norm nan"):
+            TwoPhotonState.normalized(*amps)
 
     def test_amplitude_order(self):
         state = TwoPhotonState(0.5, 0.5j, -0.5, -0.5j)
@@ -189,6 +199,29 @@ class TestStageProbabilities:
             state = random_two_photon(rng)
             q_ref = reference_run(state, phases)[:3]
             assert stage_probabilities(state, phases) == pytest.approx(q_ref, abs=1e-12, rel=0.0)
+
+
+    def test_readout_factors_are_read_only(self):
+        factors = _readout_factors(perturbed_phases(0.1))
+        assert not factors.flags.writeable
+        with pytest.raises(ValueError):
+            factors[0, 0] = 0.0
+        assert not _readout_factors(perturbed_phases(0.1)).reshape(4, 1).flags.writeable
+
+    def test_sweep_longer_than_the_factor_cache_matches_reference(self):
+        # each pass evicts every point before it comes round again
+        rng = np.random.default_rng(29)
+        states = [random_two_photon(rng) for _ in range(3)]
+        sigmas = np.linspace(0.0, 0.4, _READOUT_CACHE_SIZE + 5)
+        for _ in range(2):
+            for sigma in sigmas:
+                phases = perturbed_phases(float(sigma))
+                for state in states:
+                    q_ref = reference_run(state, phases)[:3]
+                    assert stage_probabilities(state, phases) == pytest.approx(
+                        q_ref, abs=1e-12, rel=0.0
+                    )
+        assert _readout_factors.cache_info().currsize <= _READOUT_CACHE_SIZE
 
 
 class TestClosedForm:
