@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -42,6 +43,8 @@ FIGURES = {
     "record_write_us.oracle": "cli._record on a mixed-state oracle record, us per record",
     "parse_config_us.analytic": "cli.parse_config on an analytic document, us per call",
     "parse_config_us.oracle": "cli.parse_config on a density-matrix oracle document, us per call",
+    "parse_config_us.sweep": "cli.parse_config on a sweep-dense document (8 points of 20000 "
+                             "trials, the four axes in turn), us per call",
     "run_analytic_us": "protocol.run_analytic(state, perturbed_phases(0.0)), us per call",
     "estimate_mtrials_per_s": f"estimator.estimate on {ESTIMATE_TRIALS} trials "
                               "at eta 0.9, sigma 0.05, Mtrials/s",
@@ -57,17 +60,32 @@ def haar_states(count: int) -> list[np.ndarray]:
     return states
 
 
+# The sweep of each axis as perfbench's sweep-dense workload runs it.
+SWEEPS = {
+    "sigma": {"axis": "sigma", "start": 0.0, "stop": 0.25, "steps": 8},
+    "eta_a": {"axis": "eta_a", "start": 0.6, "stop": 1.0, "steps": 8},
+    "theta": {"axis": "theta", "start": 0.0, "stop": math.pi / 2.0, "steps": 8},
+    "trials": {"axis": "trials", "start": 1.0e4, "stop": 3.0e4, "steps": 8},
+}
+
+
 def documents(states: list[np.ndarray]) -> dict[str, list[str]]:
-    """One analytic and one oracle document per state."""
+    """One analytic, one oracle and one sweep document per state."""
     keys = ("alpha", "beta", "gamma", "delta")
-    analytic, oracle = [], []
-    for amps in states:
+    analytic, oracle, sweep = [], [], []
+    for index, amps in enumerate(states):
         state = {key: [float(a.real), float(a.imag)] for key, a in zip(keys, amps)}
         analytic.append(json.dumps({"mode": "analytic", "state": state, "eta_a": 0.9}))
         rho = 0.7 * np.outer(amps, amps.conj()) + 0.075 * np.eye(4)
         matrix = [[[float(e.real), float(e.imag)] for e in row] for row in rho]
         oracle.append(json.dumps({"mode": "oracle", "density_matrix": matrix}))
-    return {"analytic": analytic, "oracle": oracle}
+        axis = list(SWEEPS)[index % len(SWEEPS)]
+        document = {"mode": "sweep", "trials": 20_000, "seed": index, "sigma": 0.05,
+                    "eta_a": 0.9, "sweep": SWEEPS[axis]}
+        if axis != "theta":  # a theta sweep builds every point's state itself
+            document["state"] = state
+        sweep.append(json.dumps(document))
+    return {"analytic": analytic, "oracle": oracle, "sweep": sweep}
 
 
 def fastest_us(tasks: dict, rounds: int = ROUNDS) -> dict[str, float]:
@@ -114,6 +132,7 @@ def measure() -> dict:
             cli._record, [(config, run_mode(config)) for config in configs]
         )
         tasks[f"parse_config_us.{mode}"] = (cli.parse_config, [(text,) for text in docs[mode]])
+    tasks["parse_config_us.sweep"] = (cli.parse_config, [(text,) for text in docs["sweep"]])
     tasks["run_analytic_us"] = (
         lambda state: run_analytic(state, perturbed_phases(0.0)),
         [(TwoPhotonState(*amps.tolist()),) for amps in states],

@@ -21,6 +21,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from io import StringIO
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,7 +44,6 @@ log = logging.getLogger("faradaymeter")
 CONFIG_SCHEMA = "faradaymeter-config/1"
 RECORD_SCHEMA = "faradaymeter-record/1"
 
-MODES = ("analytic", "simulate", "oracle", "phases", "sweep")
 SWEEP_AXES = ("sigma", "eta_a", "trials", "theta")
 SWEEP_COLUMNS = (
     "axis_value",
@@ -68,20 +68,14 @@ _AMPLITUDE_KEYS = dict.fromkeys(("alpha", "beta", "gamma", "delta"), complex)
 _CAVITY_KEYS = dict.fromkeys(("omega_c", "omega_p", "omega_0", "kappa", "gamma", "coupling"), float)
 _SWEEP_KEYS = {"axis": str, "start": float, "stop": float, "steps": int}
 
-# Top-level scalars: type, default, and the range that the value and every
-# point of a sweep along that key must satisfy.
-_SCALARS = {
-    "trials": (int, DEFAULT_TRIALS, lambda v: v >= 1, "must be positive, got {}"),
-    "seed": (int, 0, lambda v: 0 <= v < 2**64, "must be a 64-bit unsigned integer, got {}"),
-    "eta_a": (
-        float,
-        1.0,
-        lambda v: 0.0 < v <= 1.0,
-        "must lie in (0, 1], got {}: zero detection efficiency cannot be divided out",
-    ),
-    "sigma": (float, 0.0, lambda v: abs(v) < math.pi / 2.0, "must satisfy |sigma| < pi/2, got {}"),
-}
-_TOP_KEYS = {"schema", "mode", "state", "density_matrix", "cavity", "sweep", "out", *_SCALARS}
+# Top-level scalars: type and default.  Their ranges belong to the types
+# that run them, ImperfectionParams and TrialConfig.
+_SCALARS = {"trials": (int, DEFAULT_TRIALS), "seed": (int, 0), "eta_a": (float, 1.0),
+            "sigma": (float, 0.0)}
+# The inputs some mode reads.  A config that gives several its mode does not
+# read is rejected for the first of them in this order.
+_INPUTS = ("sweep", "cavity", "density_matrix", "state", *_SCALARS)
+_TOP_KEYS = {"schema", "mode", "out", *_INPUTS}
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,20 +110,6 @@ class SweepSpec:
 # set their keys one for one (cavity.omega_c is --omega-c, sweep.axis is
 # --sweep-axis).
 _SECTIONS = {"cavity": (_CAVITY_KEYS, "--"), "sweep": (_SWEEP_KEYS, "--sweep-")}
-
-# The modes that read each optional top-level input; any other mode rejects
-# it rather than ignoring it.  `analytic` reads neither `trials` nor `seed`
-# but accepts both, so that its record, which echoes every scalar, replays.
-_READ_IN = {
-    "sweep": ("sweep",),
-    "cavity": ("phases",),
-    "density_matrix": ("oracle",),
-    "state": ("analytic", "simulate", "oracle", "sweep"),
-    "eta_a": ("analytic", "simulate", "sweep"),
-    "sigma": ("analytic", "simulate", "sweep"),
-    "trials": ("analytic", "simulate", "sweep"),
-    "seed": ("analytic", "simulate", "sweep"),
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,12 +166,6 @@ def _section(data, keys: dict, context: str) -> dict:
     return {key: _require(data, key, kind, context) for key, kind in keys.items()}
 
 
-def _check_range(key: str, value, context: str = "") -> None:
-    _, _, in_range, message = _SCALARS[key]
-    if not in_range(value):
-        raise ConfigError(f"{context}{key} {message.format(value)}")
-
-
 def _state_from(data) -> TwoPhotonState:
     amps = np.array(list(_section(data, _AMPLITUDE_KEYS, "state").values()), dtype=complex)
     nrm = float(np.linalg.norm(amps))
@@ -231,7 +205,7 @@ def _config_from_mapping(data: dict) -> RunConfig:
 
     scalars = {
         key: _require(data, key, kind, "config") if key in data else default
-        for key, (kind, default, _, _) in _SCALARS.items()
+        for key, (kind, default) in _SCALARS.items()
     }
     out = _require(data, "out", str, "config") if "out" in data else None
 
@@ -246,17 +220,16 @@ def _config_from_mapping(data: dict) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"{name}: {exc}") from None
 
-    for key, value in scalars.items():
-        _check_range(key, value)
-    sweep = sections["sweep"]
-    if sweep is not None and sweep.axis in _SCALARS:
-        for value in sweep.values():
-            _check_range(sweep.axis, sweep.point(float(value))[sweep.axis], "sweep: ")
-
     config = RunConfig(
         mode=mode, state=state, density_matrix=density, out=out, **scalars, **sections
     )
     _check_mode_requirements(config, data.keys())
+    _check_ranges(config, _MODES[mode].reads)
+    sweep = config.sweep
+    if sweep is not None and sweep.axis in _SCALARS:
+        # every range is an interval, so the end points cover the points between
+        for value in (sweep.start, sweep.stop):
+            _check_ranges(replace(config, **sweep.point(value)), (sweep.axis,), "sweep: ")
     return config
 
 
@@ -265,27 +238,33 @@ def _check_mode_requirements(config: RunConfig, given) -> None:
 
     ``given`` holds the top-level keys the document and flags set.
     """
-    for name, modes in _READ_IN.items():
-        if name in given and config.mode not in modes:
+    mode = _MODES[config.mode]
+    for name in _INPUTS:
+        if name in given and name not in mode.reads:
             raise ConfigError(
                 f"{name!r} is not read in mode {config.mode!r}, which would ignore it"
             )
-    if "state" in given and config.sweep is not None and config.sweep.axis == "theta":
+    theta = config.sweep is not None and config.sweep.axis == "theta"
+    if theta and "state" in given:
         raise ConfigError(
             "'state' is not read in mode 'sweep' along 'theta', whose points replace it"
         )
-    needs_state = config.mode in ("analytic", "simulate") or (
-        config.mode == "sweep" and config.sweep is not None and config.sweep.axis != "theta"
-    )
-    if needs_state and config.state is None:
-        raise ConfigError(f"mode {config.mode!r} needs a state (config key 'state' or --state)")
-    if config.mode == "oracle":
-        if (config.state is None) == (config.density_matrix is None):
-            raise ConfigError("mode 'oracle' needs exactly one of 'state' or 'density_matrix'")
-    if config.mode == "phases" and config.cavity is None:
-        raise ConfigError("mode 'phases' needs the 'cavity' section (or the cavity flags)")
-    if config.mode == "sweep" and config.sweep is None:
-        raise ConfigError("mode 'sweep' needs the 'sweep' section (or the --sweep-* flags)")
+    for name in mode.needs:
+        if getattr(config, name) is None and not (theta and name == "state"):
+            raise ConfigError(f"mode {config.mode!r} needs {name!r} (in the config or by flag)")
+    if config.mode == "oracle" and (config.state is None) == (config.density_matrix is None):
+        raise ConfigError("mode 'oracle' needs exactly one of 'state' or 'density_matrix'")
+
+
+def _check_ranges(config: RunConfig, keys, context: str = "") -> None:
+    """Build the types that own the ranges of the scalars ``keys`` of ``config``."""
+    try:
+        if "trials" in keys:
+            _trial_config(config)
+        elif "eta_a" in keys or "sigma" in keys:
+            config.imperfections
+    except ValueError as exc:
+        raise ConfigError(f"{context}{exc}") from None
 
 
 def _load_document(text: str) -> dict:
@@ -304,19 +283,21 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _echo_inputs(config: RunConfig) -> dict:
-    inputs: dict = {"mode": config.mode, **{key: getattr(config, key) for key in _SCALARS}}
-    if config.state is not None:
-        inputs["state"] = {
-            key: [amp.real, amp.imag]
-            for key, amp in zip(_AMPLITUDE_KEYS, config.state.amplitudes())
-        }
-    if config.density_matrix is not None:
-        # each complex entry as its [re, im] pair
-        inputs["density_matrix"] = config.density_matrix.view(float).reshape(4, 4, 2).tolist()
-    for name, (keys, _) in _SECTIONS.items():
-        section = getattr(config, name)
-        if section is not None:
-            inputs[name] = {key: getattr(section, key) for key in keys}
+    """The inputs the mode reads, defaults included, as a config that replays them."""
+    inputs: dict = {"mode": config.mode}
+    for key in _MODES[config.mode].reads:
+        value = getattr(config, key)
+        if value is None:
+            continue
+        if key == "state":
+            value = {name: [amp.real, amp.imag]
+                     for name, amp in zip(_AMPLITUDE_KEYS, value.amplitudes())}
+        elif key == "density_matrix":
+            # each complex entry as its [re, im] pair
+            value = value.view(float).reshape(4, 4, 2).tolist()
+        elif key in _SECTIONS:
+            value = {name: getattr(value, name) for name in _SECTIONS[key][0]}
+        inputs[key] = value
     if config.out is not None:
         inputs["out"] = config.out
     return inputs
@@ -418,12 +399,13 @@ def _run_analytic(config: RunConfig) -> dict:
 
 def _trial_config(config: RunConfig) -> TrialConfig:
     """The Monte Carlo run for the state, trials, seed, eta_a and sigma of ``config``."""
+    imperfections = config.imperfections
     return TrialConfig(
         n_trials=config.trials,
         master_seed=config.seed,
         state=config.state,
-        phases=perturbed_phases(config.sigma),
-        imperfections=config.imperfections,
+        phases=perturbed_phases(imperfections.sigma),
+        imperfections=imperfections,
     )
 
 
@@ -499,19 +481,33 @@ def _run_sweep(config: RunConfig) -> str:
     return buffer.getvalue()
 
 
+class _Mode(NamedTuple):
+    reads: tuple[str, ...]
+    needs: tuple[str, ...]
+    run: Callable[[RunConfig], dict | str]
+
+
+# Each mode: the inputs it reads, which are the only ones it accepts and the
+# ones its record echoes; the inputs it cannot run without; and its runner,
+# which returns the results of a record or, for a sweep, the whole payload.
+# Two rules stay in code: an oracle reads exactly one of state and
+# density_matrix, and a theta sweep builds the state of every point itself.
+_MODES = {
+    "analytic": _Mode(("state", "eta_a", "sigma"), ("state",), _run_analytic),
+    "simulate": _Mode(("state", *_SCALARS), ("state",), _run_simulate),
+    "oracle": _Mode(("state", "density_matrix"), (), _run_oracle),
+    "phases": _Mode(("cavity",), ("cavity",), _run_phases),
+    "sweep": _Mode(("sweep", "state", *_SCALARS), ("sweep", "state"), _run_sweep),
+}
+MODES = tuple(_MODES)
+
+
 def run(config: RunConfig, stream=None) -> int:
     """Execute one validated config, writing the payload to ``stream``."""
     stream = sys.stdout if stream is None else stream
-    if config.mode == "sweep":
-        payload = _run_sweep(config)
-    else:
-        results = {
-            "analytic": _run_analytic,
-            "simulate": _run_simulate,
-            "oracle": _run_oracle,
-            "phases": _run_phases,
-        }[config.mode](config)
-        payload = _record(config, results)
+    payload = _MODES[config.mode].run(config)
+    if isinstance(payload, dict):
+        payload = _record(config, payload)
     if config.out is not None:
         # before stdout, so that a run that cannot keep its payload prints none
         try:
@@ -536,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=int, metavar="N")
     parser.add_argument("--seed", type=int, metavar="S")
     parser.add_argument("--eta", dest="eta_a", type=float, metavar="X",
-                        help="detection efficiency in (0, 1]")
+                        help="detection efficiency")
     parser.add_argument("--sigma", type=float, metavar="X", help="coupled-phase error in radians")
     parser.add_argument("--out", metavar="PATH", help="also write the payload to this file")
     parser.add_argument(

@@ -55,6 +55,9 @@ class CavityParams:
     coupling: float
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("omega_c", "omega_p", "omega_0"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")

@@ -41,9 +41,9 @@ class ImperfectionParams:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eta_a <= 1.0:
-            raise ValueError(f"detection efficiency must lie in (0, 1], got {self.eta_a!r}")
+            raise ValueError(f"eta_a must lie in (0, 1], got {self.eta_a!r}")
         if not abs(self.sigma) < math.pi / 2.0:
-            raise ValueError(f"phase error must satisfy |sigma| < pi/2, got {self.sigma!r}")
+            raise ValueError(f"sigma must satisfy |sigma| < pi/2, got {self.sigma!r}")
         if abs(self.sigma) >= _SOFT_SIGMA_BOUND:
             # stacklevel 3 skips this method and the generated __init__, so
             # the warning names the line that built the parameters

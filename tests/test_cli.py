@@ -73,6 +73,16 @@ RECORD_CASES = {
                     None),
 }
 
+# the inputs the mode of each record case reads; an oracle reads one of two
+RECORD_INPUTS = {
+    "analytic_readme": {"state", "eta_a", "sigma"},
+    "analytic_haar": {"state", "eta_a", "sigma"},
+    "simulate": {"state", "trials", "seed", "eta_a", "sigma"},
+    "oracle_pure": {"state"},
+    "oracle_mixed": {"density_matrix"},
+    "phases_rb87": {"cavity"},
+}
+
 
 def record_argv(name: str, directory: Path) -> list:
     """The command line of record case ``name``, its document written to ``directory``."""
@@ -188,12 +198,18 @@ class TestRecords:
         assert results["c_estimate"] == pytest.approx(1.0, abs=1e-9)
         assert results["oracle_c"] == pytest.approx(1.0, abs=1e-12)
 
-    def test_record_inputs_allow_replay(self):
-        doc = {"mode": "simulate", "state": BELL_STATE, "trials": 4000, "seed": 12}
-        config = parse_config(json.dumps(doc))
-        record = json.loads(capture(config))
-        replayed = parse_config(json.dumps(record["inputs"]))
-        assert capture(replayed) == capture(config)
+    # a record echoes exactly the inputs its mode reads, defaults included,
+    # so its inputs replay as a config
+    @pytest.mark.parametrize("name", sorted(RECORD_CASES))
+    def test_record_inputs_allow_replay(self, name, tmp_path, capsys):
+        assert main(record_argv(name, tmp_path)) == 0
+        payload = capsys.readouterr().out
+        inputs = json.loads(payload)["inputs"]
+        assert set(inputs) == {"mode", *RECORD_INPUTS[name]}
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps(inputs))
+        assert main(["--config", str(path)]) == 0
+        assert capsys.readouterr().out == payload
 
     def test_simulate_record_fields(self):
         doc = {"mode": "simulate", "state": BELL_STATE, "trials": 2000, "seed": 4}
@@ -385,7 +401,7 @@ class TestMain:
 
     def test_positional_mode_beats_config(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"mode": "simulate", "state": BELL_STATE, "trials": 500}))
+        path.write_text(json.dumps({"mode": "simulate", "state": BELL_STATE}))
         assert main(["analytic", "--config", str(path)]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["mode"] == "analytic"
@@ -406,6 +422,23 @@ class TestMain:
         ]
         assert main(flags) == 3
         assert "error:" in capsys.readouterr().err
+
+    # a non-finite cavity value used to pass as a bad modulus (nan) or a
+    # vanishing reflection denominator (inf, exit 3)
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--omega-c", "nan"), ("--omega-p", "inf"), ("--omega-0", "-inf"),
+         ("--kappa", "inf"), ("--gamma", "nan"), ("--coupling", "inf")],
+    )
+    def test_non_finite_cavity_value_is_a_config_error(self, flag, value, capsys):
+        index = CAVITY_FLAGS.index(flag)
+        # the = form, so that argparse takes -inf as a value
+        flags = [*CAVITY_FLAGS[:index], f"{flag}={value}", *CAVITY_FLAGS[index + 2:]]
+        assert main(["phases", *flags]) == 2
+        captured = capsys.readouterr()
+        key = flag[2:].replace("-", "_")
+        assert f"cavity: {key} must be finite, got {float(value)!r}" in captured.err
+        assert captured.out == ""
 
     def test_inconsistent_observation_exit_code(self, capsys):
         # low efficiency pushes the observed stage-1 value below the leak floor
@@ -452,7 +485,8 @@ class TestMain:
 
     @pytest.mark.parametrize("mode", ["simulate", "analytic"])
     def test_zero_efficiency_is_a_config_error(self, mode, capsys):
-        assert main([mode, *BELL_FLAGS, "--trials", "100", "--eta", "0"]) == 2
+        trials = ["--trials", "100"] if mode == "simulate" else []
+        assert main([mode, *BELL_FLAGS, *trials, "--eta", "0"]) == 2
         captured = capsys.readouterr()
         assert "eta_a" in captured.err
         assert captured.out == ""
@@ -515,14 +549,16 @@ class TestMain:
         assert f"'{section}'" in captured.err
         assert f"mode '{mode}'" in captured.err
 
-    # phases reads no top-level scalar and no state, oracle no scalar, and a
-    # theta sweep builds every point's state itself
+    # phases reads no top-level scalar and no state, oracle no scalar,
+    # analytic no trials or seed, and a theta sweep builds every point's
+    # state itself
     @pytest.mark.parametrize(
         "mode, needs, name",
         [*[("phases", CAVITY_FLAGS, name) for name in INPUT_FLAGS],
          *[("oracle", BELL_FLAGS, name) for name in INPUT_FLAGS if name != "state"],
          ("sweep", ["--sweep-axis", "theta", "--sweep-start", "0", "--sweep-stop", "1",
-                    "--sweep-steps", "2"], "state")],
+                    "--sweep-steps", "2"], "state"),
+         ("analytic", BELL_FLAGS, "trials"), ("analytic", BELL_FLAGS, "seed")],
     )
     def test_unread_input_is_a_config_error(self, mode, needs, name, capsys):
         assert main([mode, *needs, *INPUT_FLAGS[name]]) == 2
