@@ -8,7 +8,7 @@ the copy in another checkout measures that checkout.  The named column of
 side by side in one file.  The inputs are fixed (Haar states from
 ``numpy.random.default_rng(7)``), so two columns time the same work.  Each
 figure is the fastest of many passes (runs, for the throughput) spread
-over the whole run.  Takes about 15 s.
+over the whole run.  Takes about 20 s.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 import time
+from io import StringIO
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,6 +36,8 @@ from faradaymeter.protocol import TwoPhotonState, run_analytic  # noqa: E402
 
 STATES = 64
 ROUNDS = 400
+# A sweep query takes about 2 ms, so its passes run the first few documents.
+SWEEP_QUERIES = 8
 ESTIMATE_TRIALS = 2_000_000
 ESTIMATE_REPEATS = 7
 
@@ -45,6 +48,8 @@ FIGURES = {
     "parse_config_us.oracle": "cli.parse_config on a density-matrix oracle document, us per call",
     "parse_config_us.sweep": "cli.parse_config on a sweep-dense document (8 points of 20000 "
                              "trials, the four axes in turn), us per call",
+    "sweep_query_us": "cli.parse_config plus cli.run of a sweep document (8 points of 1 trial, "
+                      "the four axes in turn), us per query",
     "run_analytic_us": "protocol.run_analytic(state, perturbed_phases(0.0)), us per call",
     "estimate_mtrials_per_s": f"estimator.estimate on {ESTIMATE_TRIALS} trials "
                               "at eta 0.9, sigma 0.05, Mtrials/s",
@@ -70,9 +75,13 @@ SWEEPS = {
 
 
 def documents(states: list[np.ndarray]) -> dict[str, list[str]]:
-    """One analytic, one oracle and one sweep document per state."""
+    """One analytic, one oracle and two sweep documents per state.
+
+    The ``sweep_query`` documents run the sweeps at 1 trial per point, so
+    running one times what every point costs before its trials.
+    """
     keys = ("alpha", "beta", "gamma", "delta")
-    analytic, oracle, sweep = [], [], []
+    analytic, oracle, sweep, sweep_query = [], [], [], []
     for index, amps in enumerate(states):
         state = {key: [float(a.real), float(a.imag)] for key, a in zip(keys, amps)}
         analytic.append(json.dumps({"mode": "analytic", "state": state, "eta_a": 0.9}))
@@ -85,7 +94,13 @@ def documents(states: list[np.ndarray]) -> dict[str, list[str]]:
         if axis != "theta":  # a theta sweep builds every point's state itself
             document["state"] = state
         sweep.append(json.dumps(document))
-    return {"analytic": analytic, "oracle": oracle, "sweep": sweep}
+        single = {**SWEEPS[axis], "start": 1.0, "stop": 1.0} if axis == "trials" else SWEEPS[axis]
+        sweep_query.append(json.dumps({**document, "trials": 1, "sweep": single}))
+    return {"analytic": analytic, "oracle": oracle, "sweep": sweep, "sweep_query": sweep_query}
+
+
+def sweep_query(text: str) -> None:
+    cli.run(cli.parse_config(text), StringIO())
 
 
 def fastest_us(tasks: dict, rounds: int = ROUNDS) -> dict[str, float]:
@@ -133,6 +148,9 @@ def measure() -> dict:
         )
         tasks[f"parse_config_us.{mode}"] = (cli.parse_config, [(text,) for text in docs[mode]])
     tasks["parse_config_us.sweep"] = (cli.parse_config, [(text,) for text in docs["sweep"]])
+    tasks["sweep_query_us"] = (
+        sweep_query, [(text,) for text in docs["sweep_query"][:SWEEP_QUERIES]]
+    )
     tasks["run_analytic_us"] = (
         lambda state: run_analytic(state, perturbed_phases(0.0)),
         [(TwoPhotonState(*amps.tolist()),) for amps in states],

@@ -19,7 +19,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from io import StringIO
 from typing import Callable, NamedTuple
 
@@ -96,14 +96,6 @@ class SweepSpec:
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
-
-    def point(self, value: float) -> dict:
-        """The RunConfig fields that the sweep point at ``value`` replaces."""
-        if self.axis == "theta":
-            return {"state": TwoPhotonState(math.cos(value), 0.0, 0.0, math.sin(value))}
-        if self.axis == "trials":
-            return {"trials": int(round(value))}
-        return {self.axis: value}
 
 
 # The sections read through a key table, and the prefix of the flags that
@@ -184,7 +176,8 @@ def _density_from(data) -> np.ndarray:
     try:
         rows = [[_complex_from(entry, "density_matrix entry") for entry in row] for row in data]
         matrix = np.array(rows, dtype=complex)
-    except (TypeError, ConfigError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
+        # a ragged array is numpy's ValueError
         raise ConfigError(f"density_matrix must be a 4x4 array of [re, im] pairs: {exc}") from None
     if matrix.shape != (4, 4):
         raise ConfigError(f"density_matrix must be 4x4, got shape {matrix.shape}")
@@ -224,12 +217,7 @@ def _config_from_mapping(data: dict) -> RunConfig:
         mode=mode, state=state, density_matrix=density, out=out, **scalars, **sections
     )
     _check_mode_requirements(config, data.keys())
-    _check_ranges(config, _MODES[mode].reads)
-    sweep = config.sweep
-    if sweep is not None and sweep.axis in _SCALARS:
-        # every range is an interval, so the end points cover the points between
-        for value in (sweep.start, sweep.stop):
-            _check_ranges(replace(config, **sweep.point(value)), (sweep.axis,), "sweep: ")
+    _check_ranges(config)
     return config
 
 
@@ -256,13 +244,24 @@ def _check_mode_requirements(config: RunConfig, given) -> None:
         raise ConfigError("mode 'oracle' needs exactly one of 'state' or 'density_matrix'")
 
 
-def _check_ranges(config: RunConfig, keys, context: str = "") -> None:
-    """Build the types that own the ranges of the scalars ``keys`` of ``config``."""
+def _check_ranges(config: RunConfig) -> None:
+    """Build the types that own the ranges of the scalars the mode of ``config`` reads.
+
+    A sweep along a scalar also builds the runs of its end points: every
+    range is an interval, so they cover the points between.
+    """
+    reads = _MODES[config.mode].reads
+    sweep = config.sweep
+    context = ""
     try:
-        if "trials" in keys:
+        if "trials" in reads:
             _trial_config(config)
-        elif "eta_a" in keys or "sigma" in keys:
+        elif "eta_a" in reads:
             config.imperfections
+        if sweep is not None and sweep.axis in _SCALARS:
+            context = "sweep: "
+            _trial_config(config, 0, sweep.start)
+            _trial_config(config, sweep.steps - 1, sweep.stop)
     except ValueError as exc:
         raise ConfigError(f"{context}{exc}") from None
 
@@ -385,10 +384,7 @@ def _run_analytic(config: RunConfig) -> dict:
     p1_observed = eta**2 * outcome.p1
     p2_observed = eta * outcome.p2
     return {
-        "p1": outcome.p1,
-        "p2": outcome.p2,
-        "p_total": outcome.p_total,
-        "c_estimate": outcome.c_estimate,
+        **vars(outcome),
         "p1_observed": p1_observed,
         "p2_observed": p2_observed,
         "p_total_observed": eta**3 * outcome.p_total,
@@ -397,33 +393,33 @@ def _run_analytic(config: RunConfig) -> dict:
     }
 
 
-def _trial_config(config: RunConfig) -> TrialConfig:
-    """The Monte Carlo run for the state, trials, seed, eta_a and sigma of ``config``."""
-    imperfections = config.imperfections
-    return TrialConfig(
-        n_trials=config.trials,
-        master_seed=config.seed,
-        state=config.state,
-        phases=perturbed_phases(imperfections.sigma),
-        imperfections=imperfections,
-    )
+def _trial_config(config: RunConfig, index: int | None = None, value: float = 0.0) -> TrialConfig:
+    """The Monte Carlo run of ``simulate`` or, given ``index``, of sweep point ``index``.
+
+    The run takes the state, trials, seed, eta_a and sigma of ``config``.
+    A sweep point at ``value`` replaces the input of its axis (theta runs
+    cos(theta)|RR> + sin(theta)|LL>) and runs at seed ``(seed + index) mod
+    2**64``; only the seed as given is range-checked.
+    """
+    state, trials, seed = config.state, config.trials, config.seed
+    scalars = {"eta_a": config.eta_a, "sigma": config.sigma}
+    if index is not None:
+        seed = (seed + index) % 2**64
+        axis = config.sweep.axis
+        if axis == "theta":
+            state = TwoPhotonState(math.cos(value), 0.0, 0.0, math.sin(value))
+        elif axis == "trials":
+            trials = int(round(value))
+        else:
+            scalars[axis] = value
+    imperfections = ImperfectionParams(**scalars)
+    return TrialConfig(n_trials=trials, master_seed=seed, state=state,
+                       phases=perturbed_phases(imperfections.sigma), imperfections=imperfections)
 
 
 def _run_simulate(config: RunConfig) -> dict:
     report = estimate(_trial_config(config))
-    return {
-        "trials": report.trials,
-        "stage1_successes": report.stage1_successes,
-        "stage2_successes": report.stage2_successes,
-        "p1_hat": report.p1_hat,
-        "p2_hat": report.p2_hat,
-        "p_total_hat": report.p_total_hat,
-        "c_hat": report.c_hat,
-        "c_low": report.c_low,
-        "c_high": report.c_high,
-        "corrected_c_hat": report.corrected_c_hat,
-        "oracle_c": concurrence_pure(config.state),
-    }
+    return {**vars(report), "oracle_c": concurrence_pure(config.state)}
 
 
 def _run_oracle(config: RunConfig) -> dict:
@@ -443,38 +439,19 @@ def _run_oracle(config: RunConfig) -> dict:
 
 def _run_phases(config: RunConfig) -> dict:
     phases = phases_from_params(config.cavity)
-    return {
-        "phi": phases.phi,
-        "phi0": phases.phi0,
-        "rotation_angle": phases.rotation_angle,
-        "r_modulus": phases.r_modulus,
-        "r0_modulus": phases.r0_modulus,
-    }
+    return {**vars(phases), "rotation_angle": phases.rotation_angle}
 
 
 def _run_sweep(config: RunConfig) -> str:
-    sweep = config.sweep
-    values = [float(value) for value in sweep.values()]
-    points = [
-        replace(config, seed=(config.seed + index) % 2**64, **sweep.point(value))
-        for index, value in enumerate(values)
-    ]
-    reports = estimate_all([_trial_config(point) for point in points])
+    values = [float(value) for value in config.sweep.values()]
+    points = [_trial_config(config, index, value) for index, value in enumerate(values)]
+    reports = estimate_all(points)
     buffer = StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     for index, (value, point, report) in enumerate(zip(values, points, reports)):
-        row = (
-            value,
-            report.p1_hat,
-            report.p2_hat,
-            report.p_total_hat,
-            report.c_hat,
-            report.corrected_c_hat,
-            concurrence_pure(point.state),
-            report.c_low,
-            report.c_high,
-        )
+        row = (value, report.p1_hat, report.p2_hat, report.p_total_hat, report.c_hat,
+               report.corrected_c_hat, concurrence_pure(point.state), report.c_low, report.c_high)
         if not all(math.isfinite(v) for v in row):
             raise NumericalFailureError(f"non-finite value in sweep row {index}: {row!r}")
         writer.writerow(row)

@@ -43,6 +43,8 @@ from .protocol import TwoPhotonState, stage_probabilities
 DRAWS_PER_TRIAL = 8
 
 _MAX_SEED = 2**64
+# The normal quantile of a two-sided 95% interval.
+_WILSON_Z = NormalDist().inv_cdf(0.5 + 0.95 / 2.0)
 
 # Trials per reused draw buffer (256 KiB of draws), the fewest trials worth
 # a thread of their own, and the most threads one call starts.
@@ -86,9 +88,9 @@ class TrialConfig:
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_trials, int) or self.n_trials < 1:
-            raise ValueError(f"n_trials must be a positive integer, got {self.n_trials!r}")
+            raise ValueError(f"trials must be a positive integer, got {self.n_trials!r}")
         if not isinstance(self.master_seed, int) or not 0 <= self.master_seed < _MAX_SEED:
-            raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
         if self.phases != perturbed_phases(self.imperfections.sigma):
             raise ValueError(
                 f"phases {self.phases!r} do not match the phase error "
@@ -160,7 +162,7 @@ class TrialSampler:
 def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
     """The private generator for one trial: an 8-double block at counter 2i."""
     if not 0 <= master_seed < _MAX_SEED:
-        raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed!r}")
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {master_seed!r}")
     if trial_index < 0:
         raise ValueError(f"trial_index must be non-negative, got {trial_index!r}")
     bits = np.random.Philox(key=master_seed, counter=[2 * trial_index, 0, 0, 0])
@@ -177,8 +179,8 @@ def run_trial(
     return TrialSampler(state, phases).sample(rng, imperfections.eta_a)
 
 
-def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
     Well behaved at the boundary counts 0 and ``trials``, unlike the normal
     approximation, which matters here because near-separable states make
@@ -186,9 +188,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     """
     if not 0 <= successes <= trials or trials < 1:
         raise ValueError(f"invalid counts: {successes} successes in {trials} trials")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    z = _WILSON_Z
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2.0 * trials)) / denom

@@ -30,10 +30,10 @@ _FLUCTUATION_SLACK = 1e-9
 class ImperfectionParams:
     """Detector efficiency and coupled-phase error for one run.
 
-    ``eta_a`` must lie in (0, 1]: a zero efficiency leaves nothing to divide
-    out.  Any ``|sigma| < pi/2`` is accepted, but the leak model is only a
-    good description for small errors, so values at or beyond pi/4 trigger
-    a warning.
+    ``eta_a`` must lie in (0, 1] and have a nonzero cube (above about
+    1.4e-108): the correction divides by eta_a**3.  Any ``|sigma| < pi/2``
+    is accepted, but the leak model is only a good description for small
+    errors, so values at or beyond pi/4 trigger a warning.
     """
 
     eta_a: float = 1.0
@@ -42,6 +42,8 @@ class ImperfectionParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.eta_a <= 1.0:
             raise ValueError(f"eta_a must lie in (0, 1], got {self.eta_a!r}")
+        if self.eta_a**3 == 0.0:
+            raise ValueError(f"eta_a is too small: eta_a**3 underflows to 0, got {self.eta_a!r}")
         if not abs(self.sigma) < math.pi / 2.0:
             raise ValueError(f"sigma must satisfy |sigma| < pi/2, got {self.sigma!r}")
         if abs(self.sigma) >= _SOFT_SIGMA_BOUND:

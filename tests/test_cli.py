@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from faradaymeter.cli import (
@@ -18,7 +19,11 @@ from faradaymeter.cli import (
     run,
 )
 from faradaymeter.errors import ConfigError
-from faradaymeter.faraday import rb87_params
+from faradaymeter.estimator import TrialConfig, estimate
+from faradaymeter.faraday import perturbed_phases, rb87_params
+from faradaymeter.imperfect import ImperfectionParams
+from faradaymeter.oracle import concurrence_pure
+from faradaymeter.protocol import TwoPhotonState
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -252,6 +257,10 @@ class TestRecords:
         with pytest.raises(ConfigError):
             run(config, io.StringIO())
 
+    def test_ragged_density_matrix_is_config_error(self):
+        with pytest.raises(ConfigError, match="density_matrix must be a 4x4 array"):
+            parse_config('{"mode":"oracle","density_matrix":[[1,0],[0]]}')
+
     def test_phases_record(self):
         doc = {"mode": "phases", "cavity": IDEAL_CAVITY}
         results = record_results(parse_config(json.dumps(doc)))
@@ -357,6 +366,38 @@ class TestSweep:
         payload = capture(parse_config(json.dumps(doc)))
         assert path.read_text(encoding="utf-8") == payload
 
+    # a point i at value v runs the top-level inputs with the axis input
+    # replaced, at seed (seed + i) mod 2**64: this seed wraps at point 2
+    @pytest.mark.parametrize(
+        "axis, start, stop",
+        [("sigma", 0.0, 0.3), ("eta_a", 0.6, 1.0), ("trials", 1000, 2500),
+         ("theta", 0.0, math.pi / 2)],
+        ids=["sigma", "eta_a", "trials", "theta"],
+    )
+    def test_rows_equal_estimates_of_hand_built_runs(self, axis, start, stop):
+        seed, top = 2**64 - 2, {"trials": 2000, "eta_a": 0.9, "sigma": 0.05}
+        doc = {"mode": "sweep", "seed": seed, **top,
+               "sweep": {"axis": axis, "start": start, "stop": stop, "steps": 4}}
+        if axis != "theta":
+            doc["state"] = BELL_STATE
+        config = parse_config(json.dumps(doc))
+        rows = list(csv.reader(io.StringIO(capture(config))))[1:]
+        assert len(rows) == 4
+        for index, (value, row) in enumerate(zip(np.linspace(start, stop, 4), rows)):
+            point = dict(top, state=config.state)
+            if axis == "theta":
+                point["state"] = TwoPhotonState(math.cos(value), 0.0, 0.0, math.sin(value))
+            else:
+                point[axis] = int(round(value)) if axis == "trials" else float(value)
+            report = estimate(TrialConfig(
+                n_trials=point["trials"], master_seed=(seed + index) % 2**64,
+                state=point["state"], phases=perturbed_phases(point["sigma"]),
+                imperfections=ImperfectionParams(eta_a=point["eta_a"], sigma=point["sigma"]),
+            ))
+            expected = [float(value), report.p1_hat, report.p2_hat, report.p_total_hat,
+                        report.c_hat, report.corrected_c_hat, concurrence_pure(point["state"]),
+                        report.c_low, report.c_high]
+            assert [float(cell) for cell in row] == expected
 
     # written by a build that ran the points one after another: however the
     # points are scheduled, the table must not change by a byte
@@ -489,6 +530,35 @@ class TestMain:
         assert main([mode, *BELL_FLAGS, *trials, "--eta", "0"]) == 2
         captured = capsys.readouterr()
         assert "eta_a" in captured.err
+        assert captured.out == ""
+
+    # eta_a**3 underflows to 0 below about 1.4e-108, and the correction
+    # divides by it
+    @pytest.mark.parametrize("mode", ["analytic", "simulate"])
+    def test_efficiency_with_a_zero_cube_is_a_config_error(self, mode, capsys):
+        trials = ["--trials", "100"] if mode == "simulate" else []
+        state = ["--state", "0", "0", str(SQ2), "0", str(-SQ2), "0", "0", "0"]
+        assert main([mode, *state, *trials, "--eta", "1e-300"]) == 2
+        captured = capsys.readouterr()
+        assert "eta_a" in captured.err
+        assert "1e-300" in captured.err
+        assert captured.out == ""
+
+    # range errors name the config key, not the field of the type that owns the range
+    @pytest.mark.parametrize(
+        "flags, key, field",
+        [(["simulate", *BELL_FLAGS, "--seed", "-1"], "seed", "master_seed"),
+         (["simulate", *BELL_FLAGS, "--trials", "0"], "trials", "n_trials"),
+         (["sweep", *BELL_FLAGS, "--trials", "100", "--sweep-axis", "trials",
+           "--sweep-start", "1000", "--sweep-stop", "-5", "--sweep-steps", "3"],
+          "trials", "n_trials")],
+        ids=["seed", "trials", "trials_sweep"],
+    )
+    def test_range_errors_name_the_config_key(self, flags, key, field, capsys):
+        assert main(flags) == 2
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert field not in captured.err
         assert captured.out == ""
 
     # every point of a sweep is range-checked before any point runs: the

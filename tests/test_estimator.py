@@ -86,7 +86,7 @@ class TestWilson:
         assert high == 1.0
 
     def test_frozen_quarter_case(self):
-        low, high = wilson_interval(250, 1000, 0.95)
+        low, high = wilson_interval(250, 1000)
         assert low == pytest.approx(0.2241530989836914, abs=1e-12)
         assert high == pytest.approx(0.27776028025908617, abs=1e-12)
         assert high - low == pytest.approx(0.0536, abs=5e-4)
@@ -103,8 +103,6 @@ class TestWilson:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             wilson_interval(5, 4)
-        with pytest.raises(ValueError):
-            wilson_interval(1, 10, confidence=1.0)
 
 
 class TestTrialSampler:
