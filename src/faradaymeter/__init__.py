@@ -31,7 +31,6 @@ from .estimator import (
     TrialOutcome,
     estimate,
     estimate_all,
-    run_trial,
     trial_stream,
     wilson_interval,
 )
@@ -65,6 +64,5 @@ from .protocol import (
     closed_form_outcome,
     run_analytic,
     stage_probabilities,
-    target_final_state,
 )
 __all__ = [name for name in dir() if not name.startswith("_")]

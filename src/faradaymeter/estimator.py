@@ -29,7 +29,6 @@ import os
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -43,8 +42,10 @@ from .protocol import TwoPhotonState, stage_probabilities
 DRAWS_PER_TRIAL = 8
 
 _MAX_SEED = 2**64
-# The normal quantile of a two-sided 95% interval.
-_WILSON_Z = NormalDist().inv_cdf(0.5 + 0.95 / 2.0)
+# The normal quantile of a two-sided 95% interval, the repr of
+# statistics.NormalDist().inv_cdf(0.975), written out so no run imports
+# statistics (and with it fractions and decimal) for one constant.
+_WILSON_Z = 1.9599639845400536
 
 # Trials per reused draw buffer (256 KiB of draws), the fewest trials worth
 # a thread of their own, and the most threads one call starts.
@@ -87,9 +88,10 @@ class TrialConfig:
     imperfections: ImperfectionParams
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_trials, int) or self.n_trials < 1:
+        # type(), not isinstance(): a bool is an int and would pass as 0 or 1
+        if type(self.n_trials) is not int or self.n_trials < 1:
             raise ValueError(f"trials must be a positive integer, got {self.n_trials!r}")
-        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed < _MAX_SEED:
+        if type(self.master_seed) is not int or not 0 <= self.master_seed < _MAX_SEED:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
         if self.phases != perturbed_phases(self.imperfections.sigma):
             raise ValueError(
@@ -161,22 +163,12 @@ class TrialSampler:
 
 def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
     """The private generator for one trial: an 8-double block at counter 2i."""
-    if not 0 <= master_seed < _MAX_SEED:
+    if isinstance(master_seed, bool) or not 0 <= master_seed < _MAX_SEED:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {master_seed!r}")
     if trial_index < 0:
         raise ValueError(f"trial_index must be non-negative, got {trial_index!r}")
     bits = np.random.Philox(key=master_seed, counter=[2 * trial_index, 0, 0, 0])
     return np.random.Generator(bits)
-
-
-def run_trial(
-    state: TwoPhotonState,
-    phases: FaradayPhases,
-    imperfections: ImperfectionParams,
-    rng: np.random.Generator,
-) -> TrialOutcome:
-    """Reference single-trial path; ``estimate`` is the batched equivalent."""
-    return TrialSampler(state, phases).sample(rng, imperfections.eta_a)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -309,11 +301,12 @@ def estimate_all(configs: Sequence[TrialConfig]) -> list[EstimateReport]:
     The runs are cut into contiguous trial spans, a run long relative to
     the batch into several, and all spans of all runs are dealt out to one
     set of worker threads: as many as the CPUs the process may run on, at
-    most ``_MAX_WORKERS``, and no more than there are spans.  Each trial's
-    draws sit at a fixed
-    counter offset, so any buffer size, split and schedule produce the
-    identical reports.  The samplers and the reports are built on the
-    calling thread, in order.  Statistically awkward data does not raise:
+    most ``_MAX_WORKERS``, and no more than there are spans or whole
+    ``_MIN_SPAN`` blocks in the batch, so a batch of tiny runs, like a run
+    under 2 ``_MIN_SPAN``, stays on the calling thread.  Each trial's draws
+    sit at a fixed counter offset, so any buffer size, split and schedule
+    produce the identical reports.  The samplers and the reports are built
+    on the calling thread, in order.  Statistically awkward data does not raise:
     the corrected estimate is computed with clamping so a noisy run still
     yields a usable report.
     """
@@ -332,7 +325,8 @@ def estimate_all(configs: Sequence[TrialConfig]) -> list[EstimateReport]:
         bounds = [n * k // parts for k in range(parts + 1)]
         tasks += [(index, config.master_seed, row, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     counts = [[0, 0] for _ in configs]
-    for index, (stage1, stage2) in _count_tasks(tasks, min(cpus, len(tasks))):
+    workers = min(cpus, len(tasks), total // _MIN_SPAN)
+    for index, (stage1, stage2) in _count_tasks(tasks, workers):
         counts[index][0] += stage1
         counts[index][1] += stage2
     return [_report(config, *passes) for config, passes in zip(configs, counts)]

@@ -60,11 +60,6 @@ def _validated_eigh(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mat, evals, evecs
 
 
-def validate_density_matrix(rho) -> np.ndarray:
-    """Check shape, Hermiticity, unit trace and positivity; return as array."""
-    return _validated_eigh(rho)[0]
-
-
 def concurrence_mixed(rho) -> float:
     """Concurrence of an arbitrary two-qubit density matrix.
 

@@ -13,9 +13,9 @@ A parity check followed by a |+> readout of its atom acts on the photon
 pair alone as one diagonal operator, ``K = r r0 Pi_odd + (r^2 + r0^2)/2
 Pi_even``, so :func:`stage_probabilities` evaluates the whole protocol on
 the 16 photon amplitudes of the two copies, without atoms.  The labelled
-seven-qubit evolution (:func:`prepare_joint`, :func:`parity_check`,
-:func:`target_final_state`) is kept as the independent reference the core
-is tested against; those functions import :mod:`faradaymeter.qstate` when
+seven-qubit evolution, set up in :mod:`faradaymeter.qstate`, is kept as the
+independent reference the core is tested against; :func:`parity_check` is
+its one step defined here, and it imports :mod:`faradaymeter.qstate` when
 called, so the production paths never load it.
 """
 
@@ -24,14 +24,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .faraday import ATOM_GL, ATOM_GR, POL_L, POL_R, FaradayPhases, interaction_table
-
-if TYPE_CHECKING:
-    from .qstate import StateVector
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -108,37 +104,11 @@ class ProtocolOutcome:
     c_estimate: float
 
 
-def _pair_state(state: TwoPhotonState, a_label: str, b_label: str) -> StateVector:
-    from .qstate import StateVector
-
-    # Register (a, b) with a as the low bit: index = a_bit + 2 * b_bit.
-    amps = np.array([state.alpha, state.gamma_c, state.beta, state.delta], dtype=complex)
-    return StateVector(amps, (a_label, b_label))
-
-
-def prepare_joint(state: TwoPhotonState) -> StateVector:
-    """Two copies of the pair plus three atoms in |+>, in register order.
-
-    Part of the seven-qubit reference engine; the protocol itself runs on
-    :func:`stage_probabilities`.
-    """
-    from .qstate import ATOM_LABELS, FULL_REGISTER, qubit_state, reorder, tensor_product
-
-    joint = tensor_product(_pair_state(state, "a1", "b1"), _pair_state(state, "a2", "b2"))
-    for atom in ATOM_LABELS:
-        joint = tensor_product(joint, qubit_state(atom, _SQRT_HALF, _SQRT_HALF))
-    return reorder(joint, FULL_REGISTER)
-
-
-def parity_check(
-    state: StateVector,
-    photon_pair: tuple[str, str],
-    atom: str,
-    phases: FaradayPhases,
-) -> StateVector:
+def parity_check(state, photon_pair: tuple[str, str], atom: str, phases: FaradayPhases):
     """Reflect two photons off the same cavity, one after the other.
 
-    Part of the seven-qubit reference engine, which keeps the atom explicit.
+    Part of the seven-qubit reference engine, which keeps the atom explicit:
+    takes and returns a :class:`~faradaymeter.qstate.StateVector`.
     """
     from .qstate import apply_diagonal_phase
 
@@ -234,26 +204,6 @@ def run_analytic(state: TwoPhotonState, phases: FaradayPhases) -> ProtocolOutcom
         return _failed(p1)
     p_total = p1 * q3
     return ProtocolOutcome(p1, q3, p_total, _concurrence_estimate(p_total))
-
-
-def target_final_state() -> StateVector:
-    """Post-selected state at the ideal operating point.
-
-    The photons end in a product of antisymmetric pairs,
-    (|LR> - |RL>)_a1a2 (|RL> - |LR>)_b1b2 / 2, and every atom returns
-    to |+>.  Reference only: the seven-qubit engine's surviving branch is
-    tested against it.
-    """
-    from .qstate import ATOM_LABELS, StateVector, qubit_state, tensor_product
-
-    a_amps = np.array([0.0, _SQRT_HALF, -_SQRT_HALF, 0.0], dtype=complex)
-    b_amps = np.array([0.0, -_SQRT_HALF, _SQRT_HALF, 0.0], dtype=complex)
-    out = tensor_product(
-        StateVector(a_amps, ("a1", "a2")), StateVector(b_amps, ("b1", "b2"))
-    )
-    for atom in ATOM_LABELS:
-        out = tensor_product(out, qubit_state(atom, _SQRT_HALF, _SQRT_HALF))
-    return out
 
 
 def closed_form_outcome(state: TwoPhotonState) -> ProtocolOutcome:

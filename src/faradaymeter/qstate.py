@@ -12,7 +12,10 @@ Conventions, fixed package-wide:
 Every operation returns a new :class:`StateVector`; amplitudes are never
 mutated in place.  The seven-qubit register used by the measurement protocol
 is ``FULL_REGISTER``: the four photons ``a1, a2, b1, b2`` followed by the
-three cavity atoms.
+three cavity atoms.  :func:`prepare_joint` and :func:`target_final_state`
+build the protocol's first and ideal last state on it; together with
+:func:`faradaymeter.protocol.parity_check` they are the seven-qubit
+reference the protocol's exact core is tested against.
 """
 
 from __future__ import annotations
@@ -23,11 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LabelCollisionError, LabelError, NonUnitaryError
-from .protocol import EMPTY_BRANCH_CUTOFF
-
-PHOTON_LABELS = ("a1", "a2", "b1", "b2")
-ATOM_LABELS = ("atom1", "atom2", "atom3")
-FULL_REGISTER = PHOTON_LABELS + ATOM_LABELS
+from .protocol import EMPTY_BRANCH_CUTOFF, TwoPhotonState
 
 _UNITARITY_TOL = 1e-10
 _BASIS_TOL = 1e-12
@@ -224,3 +223,41 @@ def basis_amplitude(state: StateVector, bits: dict[str, int]) -> complex:
             raise ValueError(f"bit for {lab!r} must be 0 or 1, got {b!r}")
         index |= b << k
     return complex(state.amps[index])
+
+
+PHOTON_LABELS = ("a1", "a2", "b1", "b2")
+ATOM_LABELS = ("atom1", "atom2", "atom3")
+FULL_REGISTER = PHOTON_LABELS + ATOM_LABELS
+
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def _pair_state(state: TwoPhotonState, a_label: str, b_label: str) -> StateVector:
+    # Register (a, b) with a as the low bit: index = a_bit + 2 * b_bit.
+    amps = np.array([state.alpha, state.gamma_c, state.beta, state.delta], dtype=complex)
+    return StateVector(amps, (a_label, b_label))
+
+
+def prepare_joint(state: TwoPhotonState) -> StateVector:
+    """Two copies of the pair plus three atoms in |+>, in register order."""
+    joint = tensor_product(_pair_state(state, "a1", "b1"), _pair_state(state, "a2", "b2"))
+    for atom in ATOM_LABELS:
+        joint = tensor_product(joint, qubit_state(atom, _SQRT_HALF, _SQRT_HALF))
+    return reorder(joint, FULL_REGISTER)
+
+
+def target_final_state() -> StateVector:
+    """Post-selected state at the ideal operating point.
+
+    The photons end in a product of antisymmetric pairs,
+    (|LR> - |RL>)_a1a2 (|RL> - |LR>)_b1b2 / 2, and every atom returns
+    to |+>.  The seven-qubit engine's surviving branch is tested against it.
+    """
+    a_amps = np.array([0.0, _SQRT_HALF, -_SQRT_HALF, 0.0], dtype=complex)
+    b_amps = np.array([0.0, -_SQRT_HALF, _SQRT_HALF, 0.0], dtype=complex)
+    out = tensor_product(
+        StateVector(a_amps, ("a1", "a2")), StateVector(b_amps, ("b1", "b2"))
+    )
+    for atom in ATOM_LABELS:
+        out = tensor_product(out, qubit_state(atom, _SQRT_HALF, _SQRT_HALF))
+    return out

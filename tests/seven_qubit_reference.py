@@ -5,8 +5,8 @@ two photon pairs and three cavity atoms with the ``qstate`` engine and
 projects each atom onto |+>, where the core works on the photons alone.
 """
 
-from faradaymeter.protocol import ATOM_PLUS, QWP_HADAMARD, parity_check, prepare_joint
-from faradaymeter.qstate import apply_single_qubit, project_qubit
+from faradaymeter.protocol import ATOM_PLUS, QWP_HADAMARD, parity_check
+from faradaymeter.qstate import apply_single_qubit, prepare_joint, project_qubit
 
 
 def reference_run(state, phases):

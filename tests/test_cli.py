@@ -688,7 +688,11 @@ class TestDeterminism:
         assert first.stdout
 
     def test_cli_import_leaves_out_the_reference_engine(self):
-        # the seven-qubit engine is a test reference, not a CLI dependency
-        code = "import sys, faradaymeter.cli; print('faradaymeter.qstate' in sys.modules)"
+        # the seven-qubit engine is a test reference, not a CLI dependency,
+        # and statistics would load fractions and decimal on every start
+        code = (
+            "import sys, faradaymeter.cli; "
+            "print('faradaymeter.qstate' in sys.modules, 'statistics' in sys.modules)"
+        )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
-        assert result.stdout == b"False\n"
+        assert result.stdout == b"False False\n"

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from faradaymeter.estimator import (
     TrialSampler,
     estimate,
     estimate_all,
-    run_trial,
     trial_stream,
     wilson_interval,
 )
@@ -52,6 +52,13 @@ class TestConfigValidation:
             bell_config(10, -1)
         with pytest.raises(ValueError):
             bell_config(10, 2**64)
+
+    def test_bool_trials_and_seed_are_rejected(self):
+        # bool is an int subclass, so True and False would pass as 1 and 0
+        with pytest.raises(ValueError, match="trials"):
+            bell_config(True, 1)
+        with pytest.raises(ValueError, match="seed"):
+            bell_config(10, False)
 
     def test_phases_must_match_sigma(self):
         # the trials' phase error and the one corrected for have one source
@@ -104,6 +111,9 @@ class TestWilson:
         with pytest.raises(ValueError):
             wilson_interval(5, 4)
 
+    def test_z_is_the_two_sided_95_percent_normal_quantile(self):
+        assert estimator._WILSON_Z == NormalDist().inv_cdf(0.5 + 0.95 / 2.0)
+
 
 class TestTrialSampler:
     def test_bell_tree_probabilities(self):
@@ -125,17 +135,17 @@ class TestRunTrial:
     def test_product_state_never_selected(self):
         state = TwoPhotonState(0, 1, 0, 0)
         for i in range(50):
-            outcome = run_trial(state, ideal_phases(), IDEAL, trial_stream(5, i))
+            outcome = TrialSampler(state, ideal_phases()).sample(trial_stream(5, i), IDEAL.eta_a)
             assert not outcome.stage1_pass
 
     def test_stage2_implies_stage1(self):
         for i in range(200):
-            outcome = run_trial(BELL, ideal_phases(), IDEAL, trial_stream(11, i))
+            outcome = TrialSampler(BELL, ideal_phases()).sample(trial_stream(11, i), IDEAL.eta_a)
             assert outcome.stage1_pass or not outcome.stage2_pass
 
     def test_deterministic_per_stream(self):
-        first = run_trial(BELL, ideal_phases(), IDEAL, trial_stream(17, 42))
-        second = run_trial(BELL, ideal_phases(), IDEAL, trial_stream(17, 42))
+        first = TrialSampler(BELL, ideal_phases()).sample(trial_stream(17, 42), IDEAL.eta_a)
+        second = TrialSampler(BELL, ideal_phases()).sample(trial_stream(17, 42), IDEAL.eta_a)
         assert first == second
 
 
@@ -158,7 +168,8 @@ class TestEstimate:
         params = ImperfectionParams(eta_a=0.8, sigma=0.1)
         config = bell_config(n, 55, params, sigma=0.1)
         outcomes = [
-            run_trial(BELL, perturbed_phases(0.1), params, trial_stream(55, i)) for i in range(n)
+            TrialSampler(BELL, perturbed_phases(0.1)).sample(trial_stream(55, i), params.eta_a)
+            for i in range(n)
         ]
         report = estimate(config)
         assert report.stage1_successes == sum(o.stage1_pass for o in outcomes)
@@ -252,8 +263,7 @@ class TestSpanSplit:
         thresholds = np.tile(row, (16, 1))
         for lo in starts:
             outcomes = [
-                run_trial(SKEWED, perturbed_phases(0.1), SKEWED_IMPERFECTIONS, trial_stream(seed, i))
-                for i in range(lo, lo + 100)
+                sampler.sample(trial_stream(seed, i), eta) for i in range(lo, lo + 100)
             ]
             expected = (
                 sum(o.stage1_pass for o in outcomes),
@@ -362,6 +372,21 @@ class TestBatch:
         assert len(started) == 1
         assert started[0].startswith("faradaymeter-span")
 
+    def test_tiny_batch_stays_on_the_calling_thread(self, span_log, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        configs = sweep_configs(8, 1)
+        reports = estimate_all(configs)
+        assert len(span_log) == 8
+        assert started == []
+        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
+
     def test_pool_threads_are_named_while_a_split_run_counts(self, span_log):
         estimate(skewed_config(SPLIT_TRIALS, 12))
         assert len(span_log) == 2
@@ -432,3 +457,7 @@ class TestTrialStream:
             trial_stream(-1, 0)
         with pytest.raises(ValueError):
             trial_stream(0, -1)
+
+    def test_bool_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            trial_stream(True, 0)

@@ -7,11 +7,11 @@ import pytest
 
 from faradaymeter.oracle import (
     SIGMA_YY,
+    _validated_eigh,
     concurrence_mixed,
     concurrence_pure,
     concurrence_pure_general,
     density_from_pure,
-    validate_density_matrix,
 )
 from faradaymeter.protocol import TwoPhotonState
 
@@ -66,31 +66,31 @@ class TestPureGeneral:
 
 class TestDensityValidation:
     def test_accepts_valid(self):
-        validate_density_matrix(np.eye(4) / 4)
+        _validated_eigh(np.eye(4) / 4)
 
     def test_rejects_non_hermitian(self):
         mat = np.eye(4, dtype=complex) / 4
         mat[0, 1] = 0.1
         with pytest.raises(ValueError, match="Hermitian"):
-            validate_density_matrix(mat)
+            _validated_eigh(mat)
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            validate_density_matrix(np.eye(4) / 2)
+            _validated_eigh(np.eye(4) / 2)
 
     def test_rejects_negative_eigenvalue(self):
         mat = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="negative"):
-            validate_density_matrix(mat)
+            _validated_eigh(mat)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
-            validate_density_matrix(np.eye(2) / 2)
+            _validated_eigh(np.eye(2) / 2)
 
 
 def spin_flip(rho):
     """The spin flip (sigma_y x sigma_y) rho* (sigma_y x sigma_y) that concurrence_mixed builds on."""
-    return SIGMA_YY @ validate_density_matrix(rho).conj() @ SIGMA_YY
+    return SIGMA_YY @ _validated_eigh(rho)[0].conj() @ SIGMA_YY
 
 
 class TestSpinFlip:

@@ -16,16 +16,16 @@ from faradaymeter.protocol import (
     _readout_factors,
     closed_form_outcome,
     parity_check,
-    prepare_joint,
     run_analytic,
     stage_probabilities,
-    target_final_state,
 )
 from faradaymeter.qstate import (
     FULL_REGISTER,
     basis_amplitude,
     from_amplitudes,
+    prepare_joint,
     project_qubit,
+    target_final_state,
     tensor_product,
     qubit_state,
 )
