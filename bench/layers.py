@@ -8,7 +8,7 @@ the copy in another checkout measures that checkout.  The named column of
 side by side in one file.  The inputs are fixed (Haar states from
 ``numpy.random.default_rng(7)``), so two columns time the same work.  Each
 figure is the fastest of many passes (runs, for the throughput) spread
-over the whole run.  Takes about 20 s.
+over the whole run.  Takes about 25 s.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ ROUNDS = 400
 SWEEP_QUERIES = 8
 ESTIMATE_TRIALS = 2_000_000
 ESTIMATE_REPEATS = 7
+SIMULATE_TRIALS = {"1e6": 1_000_000, "1e7": 10_000_000}
+SIMULATE_REPEATS = 5
 
 FIGURES = {
     "record_write_us.analytic": "cli._record on an analytic record (eta 0.9, sigma 0), us per record",
@@ -53,6 +55,11 @@ FIGURES = {
     "run_analytic_us": "protocol.run_analytic(state, perturbed_phases(0.0)), us per call",
     "estimate_mtrials_per_s": f"estimator.estimate on {ESTIMATE_TRIALS} trials "
                               "at eta 0.9, sigma 0.05, Mtrials/s",
+    **{
+        f"simulate_query_ms.{label}": f"cli.parse_config plus cli.run of a simulate document "
+                                      f"({trials} trials, eta 0.9, sigma 0.05), ms per query"
+        for label, trials in SIMULATE_TRIALS.items()
+    },
 }
 
 
@@ -74,16 +81,20 @@ SWEEPS = {
 }
 
 
+def state_section(amps: np.ndarray) -> dict:
+    keys = ("alpha", "beta", "gamma", "delta")
+    return {key: [float(a.real), float(a.imag)] for key, a in zip(keys, amps)}
+
+
 def documents(states: list[np.ndarray]) -> dict[str, list[str]]:
     """One analytic, one oracle and two sweep documents per state.
 
     The ``sweep_query`` documents run the sweeps at 1 trial per point, so
     running one times what every point costs before its trials.
     """
-    keys = ("alpha", "beta", "gamma", "delta")
     analytic, oracle, sweep, sweep_query = [], [], [], []
     for index, amps in enumerate(states):
-        state = {key: [float(a.real), float(a.imag)] for key, a in zip(keys, amps)}
+        state = state_section(amps)
         analytic.append(json.dumps({"mode": "analytic", "state": state, "eta_a": 0.9}))
         rho = 0.7 * np.outer(amps, amps.conj()) + 0.075 * np.eye(4)
         matrix = [[[float(e.real), float(e.imag)] for e in row] for row in rho]
@@ -99,7 +110,7 @@ def documents(states: list[np.ndarray]) -> dict[str, list[str]]:
     return {"analytic": analytic, "oracle": oracle, "sweep": sweep, "sweep_query": sweep_query}
 
 
-def sweep_query(text: str) -> None:
+def query(text: str) -> None:
     cli.run(cli.parse_config(text), StringIO())
 
 
@@ -149,7 +160,7 @@ def measure() -> dict:
         tasks[f"parse_config_us.{mode}"] = (cli.parse_config, [(text,) for text in docs[mode]])
     tasks["parse_config_us.sweep"] = (cli.parse_config, [(text,) for text in docs["sweep"]])
     tasks["sweep_query_us"] = (
-        sweep_query, [(text,) for text in docs["sweep_query"][:SWEEP_QUERIES]]
+        query, [(text,) for text in docs["sweep_query"][:SWEEP_QUERIES]]
     )
     tasks["run_analytic_us"] = (
         lambda state: run_analytic(state, perturbed_phases(0.0)),
@@ -157,6 +168,15 @@ def measure() -> dict:
     )
     figures = fastest_us(tasks)
     figures["estimate_mtrials_per_s"] = estimate_mtrials_per_s(states[0])
+    simulate = {
+        f"simulate_query_ms.{label}": (query, [(json.dumps({
+            "mode": "simulate", "state": state_section(states[0]), "trials": trials, "seed": 1,
+            "eta_a": 0.9, "sigma": 0.05,
+        }),)])
+        for label, trials in SIMULATE_TRIALS.items()
+    }
+    for name, us in fastest_us(simulate, SIMULATE_REPEATS).items():
+        figures[name] = us / 1e3
     return {key: round(value, 3) for key, value in figures.items()}
 
 

@@ -1,25 +1,24 @@
 """Monte Carlo estimation of the protocol success probability.
 
-Each trial consumes at most six uniform draws: a Born-rule draw and a
-detector-efficiency draw per atom readout, in protocol order, stopping at
-the first failure.  Draws come from a counter-based generator (Philox keyed
-by the master seed), and trial ``i`` owns the fixed 8-double block starting
-at counter ``2 i``.  That layout makes the estimate a pure function of the
-configuration: trials can be replayed individually, batched or split across
-workers without changing a single outcome.
+A trial reports only whether it passed stage 1 and whether it passed stage
+2, so it is one three-way draw: it passes stage 2 with probability
+``q2 = q1 p+3 eta``, stage 1 alone with ``q1 - q2``, and neither with
+``1 - q1``, where ``q1 = p+1 eta p+2 eta`` (a Born-rule readout and a
+detector click per atom).  Trial ``i`` reads one uniform ``u_i``, the
+``i``-th double of a counter-based generator (Philox keyed by the master
+seed: counter ``i // 4``, word ``i % 4``), and passes stage 2 when
+``u_i < q2`` and stage 1 when ``u_i < q1``.  That layout makes the estimate
+a pure function of the configuration: trials can be replayed individually,
+batched or split across workers without changing a single outcome.
 
 ``estimate_all`` runs a batch of configurations, such as the points of a
 sweep, on one set of worker threads (numpy's Philox fill and ufuncs release
 the interpreter lock); ``estimate`` is a batch of one.  Each run is cut
 into contiguous trial spans, a long run into more spans than a short one,
 and the workers, the calling thread among them, take spans off one shared
-list until it is empty.  A span is one Philox stream started at counter
-``2 lo`` and read on into a small buffer the worker reuses.  One fused
-compare per buffer, against a threshold tile the span builds when it
-starts, turns a trial's eight draws into eight mask bytes, draw ``j``
-below threshold ``j``; read as one ``uint64`` word, a trial passes stage 1
-when its first four bytes are set and stage 2 when its word equals the
-six-byte pattern.
+list until it is empty.  A span is one Philox stream started at draw
+``lo`` and read on into a small buffer the worker reuses; per buffer, one
+compare against ``q1`` and one against ``q2`` give its two counts.
 """
 
 from __future__ import annotations
@@ -37,10 +36,6 @@ from .faraday import FaradayPhases, perturbed_phases
 from .imperfect import ImperfectionParams, recover_concurrence
 from .protocol import TwoPhotonState, stage_probabilities
 
-# Fixed per-trial block: six draws used, padded to 8 so each trial spans
-# exactly two Philox counter increments.
-DRAWS_PER_TRIAL = 8
-
 _MAX_SEED = 2**64
 # The normal quantile of a two-sided 95% interval, the repr of
 # statistics.NormalDist().inv_cdf(0.975), written out so no run imports
@@ -49,23 +44,9 @@ _WILSON_Z = 1.9599639845400536
 
 # Trials per reused draw buffer (256 KiB of draws), the fewest trials worth
 # a thread of their own, and the most threads one call starts.
-_BUFFER_TRIALS = 1 << 12
+_BUFFER_TRIALS = 1 << 15
 _MIN_SPAN = 1 << 13
 _MAX_WORKERS = 4
-# Rows of the threshold tile each span builds (64 KiB): a tile per span
-# keeps memory flat in the number of runs, and a quarter buffer keeps the
-# busiest call's peak near one buffer per worker.
-_TILE_TRIALS = 1 << 10
-
-
-def _mask_word(flags) -> np.uint64:
-    """The eight mask bytes of one trial read as a word, in host byte order."""
-    return np.array(flags, dtype=np.bool_).view(np.uint64)[0]
-
-
-# Mask bytes 6 and 7 compare the padding draws against -1 and are never set.
-_STAGE1_WORD = _mask_word([1, 1, 1, 1, 0, 0, 0, 0])
-_STAGE2_WORD = _mask_word([1, 1, 1, 1, 1, 1, 0, 0])
 
 
 class TrialOutcome(NamedTuple):
@@ -138,37 +119,41 @@ class TrialSampler:
     conditional Born probabilities (each given that the earlier readouts
     returned |+>) are computed once up front by
     :func:`~faradaymeter.protocol.stage_probabilities`; sampling a trial
-    then costs only comparisons against uniform draws.
+    then costs one uniform draw and two comparisons.
     """
 
     def __init__(self, state: TwoPhotonState, phases: FaradayPhases) -> None:
         self.p_plus1, self.p_plus2, self.p_plus3 = stage_probabilities(state, phases)
 
+    def thresholds(self, eta_a: float) -> tuple[float, float]:
+        """``(q1, q2)``: the chances that a trial passes stage 1 and stage 2."""
+        q1 = self.p_plus1 * eta_a * self.p_plus2 * eta_a
+        return q1, q1 * self.p_plus3 * eta_a
+
     def sample(self, rng, eta_a: float) -> TrialOutcome:
-        """Play one trial, drawing lazily and stopping at the first failure."""
-        if rng.random() >= self.p_plus1:
-            return TrialOutcome(False, False)
-        if rng.random() >= eta_a:
-            return TrialOutcome(False, False)
-        if rng.random() >= self.p_plus2:
-            return TrialOutcome(False, False)
-        if rng.random() >= eta_a:
-            return TrialOutcome(False, False)
-        if rng.random() >= self.p_plus3:
-            return TrialOutcome(True, False)
-        if rng.random() >= eta_a:
-            return TrialOutcome(True, False)
-        return TrialOutcome(True, True)
+        """Play one trial on the next uniform draw of ``rng``."""
+        q1, q2 = self.thresholds(eta_a)
+        u = rng.random()
+        return TrialOutcome(u < q1, u < q2)
+
+
+def _stream_at(master_seed: int, draw: int) -> np.random.Generator:
+    """``Philox(key=master_seed)`` positioned at its ``draw``-th double."""
+    # each counter value yields four 64-bit words, one double each
+    bits = np.random.Philox(key=master_seed, counter=[draw // 4, 0, 0, 0])
+    bits.random_raw(draw % 4)
+    return np.random.Generator(bits)
 
 
 def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
-    """The private generator for one trial: an 8-double block at counter 2i."""
-    if isinstance(master_seed, bool) or not 0 <= master_seed < _MAX_SEED:
+    """The generator whose next draw is trial ``trial_index``'s uniform."""
+    # type(), not isinstance(): a bool would pass as 0 or 1, and a float
+    # such as 2.5 names no draw
+    if type(master_seed) is not int or not 0 <= master_seed < _MAX_SEED:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {master_seed!r}")
-    if trial_index < 0:
-        raise ValueError(f"trial_index must be non-negative, got {trial_index!r}")
-    bits = np.random.Philox(key=master_seed, counter=[2 * trial_index, 0, 0, 0])
-    return np.random.Generator(bits)
+    if type(trial_index) is not int or trial_index < 0:
+        raise ValueError(f"trial_index must be a non-negative integer, got {trial_index!r}")
+    return _stream_at(master_seed, trial_index)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -200,51 +185,37 @@ def _available_cpus() -> int:
 
 
 def _count_span(
-    master_seed: int, thresholds: np.ndarray, lo: int, hi: int
+    master_seed: int, thresholds: tuple[float, float], lo: int, hi: int
 ) -> tuple[int, int]:
     """Stage-1 and stage-2 passes among trials ``lo <= i < hi``.
 
-    ``thresholds`` is a tile of at most ``_BUFFER_TRIALS`` rows, each the
-    per-trial threshold row.  The reused draw buffer holds as many whole
-    tiles as fit in ``_BUFFER_TRIALS`` trials, but no more trials than the
-    span.
+    ``thresholds`` is the run's ``(q1, q2)``.  The reused draw buffer holds
+    ``_BUFFER_TRIALS`` trials, but no more than the span.
     """
-    tile = len(thresholds)
-    rows = min(hi - lo, _BUFFER_TRIALS - _BUFFER_TRIALS % tile)
-    gen = np.random.Generator(np.random.Philox(key=master_seed, counter=[2 * lo, 0, 0, 0]))
-    draws = np.empty((rows, DRAWS_PER_TRIAL))
-    words = np.empty(rows, dtype=np.uint64)
-    mask = words.view(np.bool_).reshape(rows, DRAWS_PER_TRIAL)
+    q1, q2 = thresholds
+    rows = min(hi - lo, _BUFFER_TRIALS)
+    gen = _stream_at(master_seed, lo)
+    draws = np.empty(rows)
     hits = np.empty(rows, dtype=np.bool_)
     stage1 = 0
     stage2 = 0
     for start in range(lo, hi, rows):
         count = min(rows, hi - start)
-        whole = count - count % tile
-        tiled = (whole // tile, tile, DRAWS_PER_TRIAL)
-        block, word, hit = draws[:count], words[:count], hits[:count]
+        block, hit = draws[:count], hits[:count]
         gen.random(out=block)
-        # the tile is contiguous, so the compare runs one vector loop per
-        # tile instead of one 8-element loop per trial; trials past the
-        # whole tiles, in a span's last buffer, meet the tile's leading rows
-        np.less(block[:whole].reshape(tiled), thresholds, out=mask[:whole].reshape(tiled))
-        if whole < count:
-            np.less(block[whole:], thresholds[: count - whole], out=mask[whole:count])
-        np.equal(word, _STAGE2_WORD, out=hit)
-        stage2 += int(np.count_nonzero(hit))
-        np.bitwise_and(word, _STAGE1_WORD, out=word)
-        np.equal(word, _STAGE1_WORD, out=hit)
+        np.less(block, q1, out=hit)
         stage1 += int(np.count_nonzero(hit))
+        np.less(block, q2, out=hit)
+        stage2 += int(np.count_nonzero(hit))
     return stage1, stage2
 
 
 def _count_tasks(tasks: list[tuple], workers: int) -> list[tuple[int, tuple[int, int]]]:
     """``(run index, (stage-1, stage-2 passes))`` of every span task.
 
-    A task is ``(run index, seed, threshold row, lo, hi)``.  ``workers``
-    threads, the calling thread one of them, each take the next task off
-    the one shared list until it is empty, and build the span's threshold
-    tile when they start it.
+    A task is ``(run index, seed, (q1, q2), lo, hi)``.  ``workers`` threads,
+    the calling thread one of them, each take the next task off the one
+    shared list until it is empty.
     """
     pending = iter(tasks)
     take = threading.Lock()
@@ -256,8 +227,7 @@ def _count_tasks(tasks: list[tuple], workers: int) -> list[tuple[int, tuple[int,
                 task = next(pending, None)
             if task is None:
                 return counted
-            index, seed, row, lo, hi = task
-            thresholds = np.tile(row, (min(_TILE_TRIALS, hi - lo), 1))
+            index, seed, thresholds, lo, hi = task
             counted.append((index, _count_span(seed, thresholds, lo, hi)))
 
     if workers < 2:
@@ -303,8 +273,8 @@ def estimate_all(configs: Sequence[TrialConfig]) -> list[EstimateReport]:
     set of worker threads: as many as the CPUs the process may run on, at
     most ``_MAX_WORKERS``, and no more than there are spans or whole
     ``_MIN_SPAN`` blocks in the batch, so a batch of tiny runs, like a run
-    under 2 ``_MIN_SPAN``, stays on the calling thread.  Each trial's draws
-    sit at a fixed counter offset, so any buffer size, split and schedule
+    under 2 ``_MIN_SPAN``, stays on the calling thread.  Each trial's draw
+    sits at a fixed stream offset, so any buffer size, split and schedule
     produce the identical reports.  The samplers and the reports are built
     on the calling thread, in order.  Statistically awkward data does not raise:
     the corrected estimate is computed with clamping so a noisy run still
@@ -315,15 +285,15 @@ def estimate_all(configs: Sequence[TrialConfig]) -> list[EstimateReport]:
     tasks = []
     for index, config in enumerate(configs):
         sampler = TrialSampler(config.state, config.phases)
-        eta = config.imperfections.eta_a
-        row = [sampler.p_plus1, eta, sampler.p_plus2, eta, sampler.p_plus3, eta, -1.0, -1.0]
+        thresholds = sampler.thresholds(config.imperfections.eta_a)
         n = config.n_trials
         # spans in proportion to the run's share of the batch, at most one
         # per CPU and per _MIN_SPAN trials, so a batch of one run splits as
         # far as its length allows and a run under 2 _MIN_SPAN never splits
         parts = max(1, min(cpus, n // _MIN_SPAN, round(cpus * n / total)))
         bounds = [n * k // parts for k in range(parts + 1)]
-        tasks += [(index, config.master_seed, row, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        seed = config.master_seed
+        tasks += [(index, seed, thresholds, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     counts = [[0, 0] for _ in configs]
     workers = min(cpus, len(tasks), total // _MIN_SPAN)
     for index, (stage1, stage2) in _count_tasks(tasks, workers):

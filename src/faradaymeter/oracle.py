@@ -43,8 +43,8 @@ def concurrence_pure_general(psi) -> float:
     return min(1.0, float(abs(vec @ (SIGMA_YY @ vec))))
 
 
-def _validated_eigh(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate a density matrix; return it with its eigenvalues and eigenvectors."""
+def _validated_eigh(rho) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a density matrix; return its eigenvalues and eigenvectors."""
     mat = np.asarray(rho, dtype=complex)
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
@@ -57,7 +57,7 @@ def _validated_eigh(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     evals, evecs = np.linalg.eigh(mat)
     if float(evals[0]) < _EIGVAL_FLOOR:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
-    return mat, evals, evecs
+    return evals, evecs
 
 
 def concurrence_mixed(rho) -> float:
@@ -72,7 +72,7 @@ def concurrence_mixed(rho) -> float:
     the eigenvalues of ``rho rho_tilde`` itself (their squares) would sink
     below round-off for nearly pure inputs.
     """
-    _, evals, evecs = _validated_eigh(rho)
+    evals, evecs = _validated_eigh(rho)
     factor = evecs * np.sqrt(np.maximum(evals, 0.0))
     try:
         roots = np.linalg.svd(factor.T @ SIGMA_YY @ factor, compute_uv=False)

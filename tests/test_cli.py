@@ -268,8 +268,8 @@ class TestRecords:
         assert results["phi0"] == pytest.approx(math.pi / 2, abs=1e-9)
         assert results["rotation_angle"] == pytest.approx(math.pi / 2, abs=1e-9)
 
-    # written by a build that printed records with json.dumps(indent=2,
-    # sort_keys=True): the record writer must reproduce it byte for byte
+    # each golden is the json.dumps(indent=2, sort_keys=True) form of its
+    # record: the record writer must reproduce it byte for byte
     @pytest.mark.parametrize("name", sorted(RECORD_CASES))
     def test_record_matches_golden_output(self, name, tmp_path, capsys):
         assert main(record_argv(name, tmp_path)) == 0
@@ -399,7 +399,7 @@ class TestSweep:
                         report.c_low, report.c_high]
             assert [float(cell) for cell in row] == expected
 
-    # written by a build that ran the points one after another: however the
+    # each row's counts are the serial reference's, one stream per point: however the
     # points are scheduled, the table must not change by a byte
     @pytest.mark.parametrize(
         "name, flags",

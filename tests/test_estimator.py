@@ -12,7 +12,6 @@ from serial_estimator_reference import serial_counts
 
 from faradaymeter import estimator
 from faradaymeter.estimator import (
-    DRAWS_PER_TRIAL,
     EstimateReport,
     TrialConfig,
     TrialSampler,
@@ -23,7 +22,7 @@ from faradaymeter.estimator import (
 )
 from faradaymeter.faraday import ideal_phases, perturbed_phases
 from faradaymeter.imperfect import ImperfectionParams
-from faradaymeter.protocol import TwoPhotonState
+from faradaymeter.protocol import TwoPhotonState, run_analytic
 
 SQ2 = 1.0 / math.sqrt(2.0)
 BELL = TwoPhotonState(SQ2, 0.0, 0.0, SQ2)
@@ -131,6 +130,110 @@ class TestTrialSampler:
         assert sampler.p_plus3 == 0.0
 
 
+# cos t|RR> + sin t|LL> with C = sin 2t = 0.05
+NEAR_SEPARABLE_T = 0.5 * math.asin(0.05)
+NEAR_SEPARABLE = TwoPhotonState(math.cos(NEAR_SEPARABLE_T), 0.0, 0.0, math.sin(NEAR_SEPARABLE_T))
+# state, sigma, eta_a
+LAW_CASES = {"skewed": (SKEWED, 0.1, 0.8), "near_separable": (NEAR_SEPARABLE, 0.05, 0.9)}
+LAW_SEEDS = 200
+LAW_TRIALS = 20_000
+LAW_P_VALUE = 1e-4
+
+
+def chi2_sf_even(x, dof):
+    """P(X > x) for X chi-square with an even number ``dof`` of degrees of freedom.
+
+    Exact: the Poisson sum ``exp(-x/2) sum_{j < dof/2} (x/2)^j / j!``,
+    each term taken in logs so that large ``x`` does not overflow.
+    """
+    half = x / 2.0
+    if half == 0.0:
+        return 1.0
+    return math.fsum(
+        math.exp(j * math.log(half) - math.lgamma(j + 1) - half) for j in range(dof // 2)
+    )
+
+
+class TestTrialLaw:
+    """Each trial is one three-way draw: (fail, stage 1 only, both) ~ (1 - q1, q1 - q2, q2)."""
+
+    @pytest.mark.parametrize("case", sorted(LAW_CASES))
+    def test_thresholds_are_the_exact_stage_probabilities(self, case):
+        state, sigma, eta = LAW_CASES[case]
+        phases = perturbed_phases(sigma)
+        outcome = run_analytic(state, phases)
+        q1, q2 = TrialSampler(state, phases).thresholds(eta)
+        assert q1 == pytest.approx(eta**2 * outcome.p1, rel=1e-15, abs=0.0)
+        assert q2 == pytest.approx(eta**3 * outcome.p_total, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("case", sorted(LAW_CASES))
+    def test_counts_pass_a_chi_square_test(self, case):
+        state, sigma, eta = LAW_CASES[case]
+        phases = perturbed_phases(sigma)
+        q1, q2 = TrialSampler(state, phases).thresholds(eta)
+        configs = [
+            TrialConfig(
+                n_trials=LAW_TRIALS,
+                master_seed=seed,
+                state=state,
+                phases=phases,
+                imperfections=ImperfectionParams(eta_a=eta, sigma=sigma),
+            )
+            for seed in range(LAW_SEEDS)
+        ]
+        counts = np.array([
+            [r.trials - r.stage1_successes, r.stage1_successes - r.stage2_successes,
+             r.stage2_successes]
+            for r in estimate_all(configs)
+        ])
+        expected = LAW_TRIALS * np.array([1.0 - q1, q1 - q2, q2])
+        # every seed's own statistic (2 degrees of freedom each), summed, and
+        # the statistic of the counts pooled over all seeds
+        per_seed = float(((counts - expected) ** 2 / expected).sum())
+        pooled_expected = LAW_SEEDS * expected
+        pooled = float(((counts.sum(axis=0) - pooled_expected) ** 2 / pooled_expected).sum())
+        assert chi2_sf_even(per_seed, 2 * LAW_SEEDS) > LAW_P_VALUE
+        assert chi2_sf_even(pooled, 2) > LAW_P_VALUE
+
+    def test_chi_square_test_rejects_a_missing_detector_factor(self):
+        # the test has the power to see q2 without its last eta
+        state, sigma, eta = LAW_CASES["skewed"]
+        sampler = TrialSampler(state, perturbed_phases(sigma))
+        q1, q2 = sampler.thresholds(eta)
+        n = LAW_SEEDS * LAW_TRIALS
+        expected = n * np.array([1.0 - q1, q1 - q2, q2])
+        wrong = q2 / eta
+        observed = n * np.array([1.0 - q1, q1 - wrong, wrong])
+        assert chi2_sf_even(float(((observed - expected) ** 2 / expected).sum()), 2) < LAW_P_VALUE
+
+    def test_chi2_sf_even_matches_known_values(self):
+        assert chi2_sf_even(0.0, 2) == 1.0
+        assert chi2_sf_even(2.0, 2) == pytest.approx(math.exp(-1.0), rel=1e-15)
+        # the 95th percentiles of chi-square with 4 and 400 degrees of freedom
+        assert chi2_sf_even(9.487729036781154, 4) == pytest.approx(0.05, rel=1e-12)
+        assert chi2_sf_even(447.6324678308084, 400) == pytest.approx(0.05, rel=1e-9)
+
+    def test_product_state_never_passes(self):
+        state = TwoPhotonState(1, 0, 0, 0)
+        assert TrialSampler(state, ideal_phases()).thresholds(1.0) == (0.0, 0.0)
+        report = estimate(TrialConfig(
+            n_trials=50_000, master_seed=3, state=state, phases=ideal_phases(), imperfections=IDEAL
+        ))
+        assert (report.stage1_successes, report.stage2_successes) == (0, 0)
+
+    def test_certain_readouts_always_pass_at_full_efficiency(self):
+        # at eta 1 a readout whose p+ is 1 costs a trial nothing
+        sampler = TrialSampler(BELL, ideal_phases())
+        assert sampler.p_plus2 == 1.0
+        assert sampler.thresholds(1.0)[0] == sampler.p_plus1
+        sampler.p_plus1 = sampler.p_plus3 = 1.0
+        assert sampler.thresholds(1.0) == (1.0, 1.0)
+        assert all(sampler.sample(trial_stream(3, i), 1.0) == (True, True) for i in range(64))
+        assert estimator._count_span(3, sampler.thresholds(1.0), 5, 20_000) == (19_995, 19_995)
+        # below eta 1 the same readouts fail on detection alone
+        assert sampler.thresholds(0.5) == (0.25, 0.125)
+
+
 class TestRunTrial:
     def test_product_state_never_selected(self):
         state = TwoPhotonState(0, 1, 0, 0)
@@ -215,8 +318,13 @@ class TestEstimate:
         assert report.corrected_c_hat == pytest.approx(1.0, abs=0.02)
         assert report.c_hat > report.corrected_c_hat - 0.01
 
-    def test_draw_block_is_padded_to_counter_boundary(self):
-        assert DRAWS_PER_TRIAL * 64 % 256 == 0
+    def test_trial_i_reads_word_i_mod_4_of_counter_i_div_4(self):
+        # numpy turns a 64-bit word w into the double (w >> 11) 2^-53
+        seed = 303
+        for i in (0, 1, 2, 3, 4, 7, 4097, 2**40 + 2):
+            bits = np.random.Philox(key=seed, counter=[i // 4, 0, 0, 0])
+            word = int(bits.random_raw(4)[i % 4])
+            assert trial_stream(seed, i).random() == (word >> 11) * 2.0**-53
 
 
 def skewed_config(n, seed):
@@ -259,8 +367,9 @@ class TestSpanSplit:
         assert len(starts) == 3
         sampler = TrialSampler(SKEWED, perturbed_phases(0.1))
         eta = SKEWED_IMPERFECTIONS.eta_a
-        row = [sampler.p_plus1, eta, sampler.p_plus2, eta, sampler.p_plus3, eta, -1.0, -1.0]
-        thresholds = np.tile(row, (16, 1))
+        thresholds = sampler.thresholds(eta)
+        # spans that start mid-counter, at word 1 and word 3
+        assert sorted(lo % 4 for lo in starts) == [0, 1, 3]
         for lo in starts:
             outcomes = [
                 sampler.sample(trial_stream(seed, i), eta) for i in range(lo, lo + 100)
@@ -423,7 +532,7 @@ class TestBatch:
             assert [passes(report) for report in results[index]] == [serial_counts(c) for c in batch]
 
     def test_memory_peak_is_flat_in_the_number_of_points(self, monkeypatch):
-        # a threshold tile per point would hold 200 x 64 KiB at once
+        # a draw buffer per point would hold 200 x 32 KiB at once
         monkeypatch.setattr(estimator, "_available_cpus", lambda: 64)
         configs = sweep_configs(200, 5000)
         estimate_all(configs)
@@ -441,16 +550,12 @@ class TestBatch:
 
 class TestTrialStream:
     def test_blocks_tile_the_master_sequence(self):
-        # trial blocks must be consecutive slices of one sequential stream
+        # trial i's one draw is the i-th double of one sequential stream,
+        # including the trials that start mid-counter
         seed = 77
-        sequential = np.random.Generator(np.random.Philox(key=seed)).random(
-            5 * DRAWS_PER_TRIAL
-        )
-        for i in range(5):
-            block = trial_stream(seed, i).random(DRAWS_PER_TRIAL)
-            np.testing.assert_array_equal(
-                block, sequential[i * DRAWS_PER_TRIAL : (i + 1) * DRAWS_PER_TRIAL]
-            )
+        sequential = np.random.Generator(np.random.Philox(key=seed)).random(13)
+        for i in range(13):
+            assert trial_stream(seed, i).random() == sequential[i]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -461,3 +566,14 @@ class TestTrialStream:
     def test_bool_seed_is_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             trial_stream(True, 0)
+
+    def test_non_integer_seed_and_index_are_rejected(self):
+        # a float index names no draw, and 5.0 would pass as seed 5
+        with pytest.raises(ValueError, match="trial_index"):
+            trial_stream(1, 2.5)
+        with pytest.raises(ValueError, match="trial_index"):
+            trial_stream(1, 4.0)
+        with pytest.raises(ValueError, match="trial_index"):
+            trial_stream(1, True)
+        with pytest.raises(ValueError, match="seed"):
+            trial_stream(5.0, 0)

@@ -90,7 +90,7 @@ class TestDensityValidation:
 
 def spin_flip(rho):
     """The spin flip (sigma_y x sigma_y) rho* (sigma_y x sigma_y) that concurrence_mixed builds on."""
-    return SIGMA_YY @ _validated_eigh(rho)[0].conj() @ SIGMA_YY
+    return SIGMA_YY @ np.asarray(rho, dtype=complex).conj() @ SIGMA_YY
 
 
 class TestSpinFlip:
