@@ -7,8 +7,9 @@ the copy in another checkout measures that checkout.  The named column of
 ``--out`` is replaced and the other columns are kept, which puts two builds
 side by side in one file.  The inputs are fixed (Haar states from
 ``numpy.random.default_rng(7)``), so two columns time the same work.  Each
-figure is the fastest of many passes (runs, for the throughput) spread
-over the whole run.  Takes about 25 s.
+per-call figure is the fastest of many passes spread over the whole run;
+the Monte Carlo figures are medians of whole 1e7-trial calls.  Takes about
+30 s.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import sys
 import time
 from io import StringIO
 from pathlib import Path
+from statistics import median
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -29,7 +31,8 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from faradaymeter import cli  # noqa: E402
-from faradaymeter.estimator import TrialConfig, estimate  # noqa: E402
+from faradaymeter import estimator  # noqa: E402
+from faradaymeter.estimator import TrialConfig, TrialSampler, estimate  # noqa: E402
 from faradaymeter.faraday import perturbed_phases  # noqa: E402
 from faradaymeter.imperfect import ImperfectionParams  # noqa: E402
 from faradaymeter.protocol import TwoPhotonState, run_analytic  # noqa: E402
@@ -38,8 +41,10 @@ STATES = 64
 ROUNDS = 400
 # A sweep query takes about 2 ms, so its passes run the first few documents.
 SWEEP_QUERIES = 8
-ESTIMATE_TRIALS = 2_000_000
-ESTIMATE_REPEATS = 7
+ESTIMATE_TRIALS = 10_000_000
+# The fastest of 7 calls of 2e6 trials (about 10 ms each) read 15.7 and 24.7
+# Mtrials/s for one tree; the median of 15 whole 1e7-trial calls holds steadier.
+ESTIMATE_REPEATS = 15
 SIMULATE_TRIALS = {"1e6": 1_000_000, "1e7": 10_000_000}
 SIMULATE_REPEATS = 5
 
@@ -54,7 +59,13 @@ FIGURES = {
                       "the four axes in turn), us per query",
     "run_analytic_us": "protocol.run_analytic(state, perturbed_phases(0.0)), us per call",
     "estimate_mtrials_per_s": f"estimator.estimate on {ESTIMATE_TRIALS} trials "
-                              "at eta 0.9, sigma 0.05, Mtrials/s",
+                              "at eta 0.9, sigma 0.05, median Mtrials/s",
+    "count_span_fill_share": f"share of one-thread estimator._count_span time, on "
+                             f"{ESTIMATE_TRIALS} trials, that filling the same draws from "
+                             "estimator._stream_at into a reused buffer takes; the rest "
+                             "is the two compares and counts, medians",
+    "count_span_mtrials_per_s": f"estimator._count_span on {ESTIMATE_TRIALS} trials "
+                                "on the calling thread, median Mtrials/s",
     **{
         f"simulate_query_ms.{label}": f"cli.parse_config plus cli.run of a simulate document "
                                       f"({trials} trials, eta 0.9, sigma 0.05), ms per query"
@@ -131,8 +142,12 @@ def fastest_us(tasks: dict, rounds: int = ROUNDS) -> dict[str, float]:
     return best
 
 
-def estimate_mtrials_per_s(amps: np.ndarray) -> float:
-    """Trials per second of the fastest of a few runs, in millions."""
+def estimate_figures(amps: np.ndarray) -> dict[str, float]:
+    """Throughput of ``estimate`` and the fill share of one-thread ``_count_span``.
+
+    The three calls take turns, so a slow spell of the host slows each of
+    them alike; each figure is a median over ``ESTIMATE_REPEATS`` rounds.
+    """
     config = TrialConfig(
         n_trials=ESTIMATE_TRIALS,
         master_seed=1,
@@ -140,12 +155,36 @@ def estimate_mtrials_per_s(amps: np.ndarray) -> float:
         phases=perturbed_phases(0.05),
         imperfections=ImperfectionParams(eta_a=0.9, sigma=0.05),
     )
-    seconds = []
+    thresholds = TrialSampler(config.state, config.phases).thresholds(
+        config.imperfections.eta_a
+    )
+    n = ESTIMATE_TRIALS
+    rows = min(n, estimator._BUFFER_TRIALS)
+    buffer = np.empty(rows)
+
+    def fill() -> None:
+        # the draws _count_span reads, into one reused buffer, with no compare
+        gen = estimator._stream_at(config.master_seed, 0)
+        for start in range(0, n, rows):
+            gen.random(out=buffer[:min(rows, n - start)])
+
+    calls = {
+        "estimate": lambda: estimate(config),
+        "count_span": lambda: estimator._count_span(config.master_seed, thresholds, 0, n),
+        "fill": fill,
+    }
+    seconds = {name: [] for name in calls}
     for _ in range(ESTIMATE_REPEATS):
-        start = time.perf_counter()
-        estimate(config)
-        seconds.append(time.perf_counter() - start)
-    return ESTIMATE_TRIALS / min(seconds) / 1e6
+        for name, call in calls.items():
+            start = time.perf_counter()
+            call()
+            seconds[name].append(time.perf_counter() - start)
+    fill_shares = [f / c for f, c in zip(seconds["fill"], seconds["count_span"])]
+    return {
+        "estimate_mtrials_per_s": n / median(seconds["estimate"]) / 1e6,
+        "count_span_mtrials_per_s": n / median(seconds["count_span"]) / 1e6,
+        "count_span_fill_share": median(fill_shares),
+    }
 
 
 def measure() -> dict:
@@ -167,7 +206,7 @@ def measure() -> dict:
         [(TwoPhotonState(*amps.tolist()),) for amps in states],
     )
     figures = fastest_us(tasks)
-    figures["estimate_mtrials_per_s"] = estimate_mtrials_per_s(states[0])
+    figures.update(estimate_figures(states[0]))
     simulate = {
         f"simulate_query_ms.{label}": (query, [(json.dumps({
             "mode": "simulate", "state": state_section(states[0]), "trials": trials, "seed": 1,

@@ -33,7 +33,7 @@ from .errors import (
     NonInvertibleError,
     NumericalFailureError,
 )
-from .estimator import TrialConfig, estimate, estimate_all
+from .estimator import RNG_ID, TrialConfig, estimate, estimate_all
 from .faraday import CavityParams, perturbed_phases, phases_from_params
 from .imperfect import ImperfectionParams, recover_concurrence
 from .oracle import concurrence_mixed, concurrence_pure, concurrence_pure_general
@@ -365,12 +365,16 @@ def _write_json(value, chunks: list, newline: str = "\n") -> None:
 
 
 def _record(config: RunConfig, results: dict) -> str:
+    metadata = {"tool": "faradaymeter", "version": __version__}
+    if config.mode == "simulate":
+        # the counts depend on the generator and draw layout, so name them
+        metadata["rng"] = RNG_ID
     record = {
         "schema": RECORD_SCHEMA,
         "mode": config.mode,
         "inputs": _echo_inputs(config),
         "results": results,
-        "metadata": {"tool": "faradaymeter", "version": __version__},
+        "metadata": metadata,
     }
     chunks: list[str] = []
     _write_json(record, chunks)

@@ -5,18 +5,19 @@ A trial reports only whether it passed stage 1 and whether it passed stage
 ``q2 = q1 p+3 eta``, stage 1 alone with ``q1 - q2``, and neither with
 ``1 - q1``, where ``q1 = p+1 eta p+2 eta`` (a Born-rule readout and a
 detector click per atom).  Trial ``i`` reads one uniform ``u_i``, the
-``i``-th double of a counter-based generator (Philox keyed by the master
-seed: counter ``i // 4``, word ``i % 4``), and passes stage 2 when
-``u_i < q2`` and stage 1 when ``u_i < q1``.  That layout makes the estimate
-a pure function of the configuration: trials can be replayed individually,
-batched or split across workers without changing a single outcome.
+``i``-th double of the PCG64DXSM stream seeded with the master seed, and
+passes stage 2 when ``u_i < q2`` and stage 1 when ``u_i < q1``.  Every
+trial owns a fixed draw of the stream, and the stream jumps ahead to draw
+``i`` in O(log i) steps (``advance``), so the estimate is a pure function of
+the configuration: trials can be replayed individually, batched or split
+across workers without changing a single outcome.
 
 ``estimate_all`` runs a batch of configurations, such as the points of a
-sweep, on one set of worker threads (numpy's Philox fill and ufuncs release
-the interpreter lock); ``estimate`` is a batch of one.  Each run is cut
-into contiguous trial spans, a long run into more spans than a short one,
-and the workers, the calling thread among them, take spans off one shared
-list until it is empty.  A span is one Philox stream started at draw
+sweep, on one set of worker threads (numpy's PCG64DXSM fill and ufuncs
+release the interpreter lock); ``estimate`` is a batch of one.  Each run is
+cut into contiguous trial spans, a long run into more spans than a short
+one, and the workers, the calling thread among them, take spans off one
+shared list until it is empty.  A span is the stream advanced to draw
 ``lo`` and read on into a small buffer the worker reuses; per buffer, one
 compare against ``q1`` and one against ``q2`` give its two counts.
 """
@@ -37,6 +38,8 @@ from .imperfect import ImperfectionParams, recover_concurrence
 from .protocol import TwoPhotonState, stage_probabilities
 
 _MAX_SEED = 2**64
+# The generator and draw layout a run's counts depend on; simulate records carry it.
+RNG_ID = "pcg64dxsm/1-double-per-trial"
 # The normal quantile of a two-sided 95% interval, the repr of
 # statistics.NormalDist().inv_cdf(0.975), written out so no run imports
 # statistics (and with it fractions and decimal) for one constant.
@@ -138,15 +141,19 @@ class TrialSampler:
 
 
 def _stream_at(master_seed: int, draw: int) -> np.random.Generator:
-    """``Philox(key=master_seed)`` positioned at its ``draw``-th double."""
-    # each counter value yields four 64-bit words, one double each
-    bits = np.random.Philox(key=master_seed, counter=[draw // 4, 0, 0, 0])
-    bits.random_raw(draw % 4)
+    """``PCG64DXSM(master_seed)`` advanced to its ``draw``-th double."""
+    # one 64-bit output per double, so advancing by draw outputs skips draw doubles
+    bits = np.random.PCG64DXSM(master_seed)
+    bits.advance(draw)
     return np.random.Generator(bits)
 
 
 def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
-    """The generator whose next draw is trial ``trial_index``'s uniform."""
+    """The generator whose next draw is trial ``trial_index``'s uniform.
+
+    That is the ``trial_index``-th double of ``PCG64DXSM(master_seed)``,
+    reached by jumping ahead rather than by drawing the doubles before it.
+    """
     # type(), not isinstance(): a bool would pass as 0 or 1, and a float
     # such as 2.5 names no draw
     if type(master_seed) is not int or not 0 <= master_seed < _MAX_SEED:

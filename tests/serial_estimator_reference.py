@@ -2,7 +2,7 @@
 
 Independent of the span split and the reused buffers in
 :func:`faradaymeter.estimator.estimate`: it draws the ``n`` trial uniforms
-from one Philox stream in a single array and tests each stage against its
+from one PCG64DXSM stream in a single array and tests each stage against its
 own threshold, built here from the readout probabilities.
 """
 
@@ -17,5 +17,5 @@ def serial_counts(config):
     eta = config.imperfections.eta_a
     q1 = sampler.p_plus1 * eta * sampler.p_plus2 * eta
     q2 = q1 * sampler.p_plus3 * eta
-    draws = np.random.Generator(np.random.Philox(key=config.master_seed)).random(config.n_trials)
+    draws = np.random.Generator(np.random.PCG64DXSM(config.master_seed)).random(config.n_trials)
     return int(np.count_nonzero(draws < q1)), int(np.count_nonzero(draws < q2))

@@ -216,6 +216,17 @@ class TestRecords:
         assert main(["--config", str(path)]) == 0
         assert capsys.readouterr().out == payload
 
+    # a simulate record's counts depend on the generator and its draw
+    # layout, so the record names them; no other record carries the entry
+    @pytest.mark.parametrize("name", sorted(RECORD_CASES))
+    def test_only_simulate_records_name_the_generator(self, name, tmp_path, capsys):
+        assert main(record_argv(name, tmp_path)) == 0
+        metadata = json.loads(capsys.readouterr().out)["metadata"]
+        expected = {"tool": "faradaymeter", "version": metadata["version"]}
+        if name == "simulate":
+            expected["rng"] = "pcg64dxsm/1-double-per-trial"
+        assert metadata == expected
+
     def test_simulate_record_fields(self):
         doc = {"mode": "simulate", "state": BELL_STATE, "trials": 2000, "seed": 4}
         results = record_results(parse_config(json.dumps(doc)))

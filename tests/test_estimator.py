@@ -318,13 +318,26 @@ class TestEstimate:
         assert report.corrected_c_hat == pytest.approx(1.0, abs=0.02)
         assert report.c_hat > report.corrected_c_hat - 0.01
 
-    def test_trial_i_reads_word_i_mod_4_of_counter_i_div_4(self):
+    def test_trial_i_reads_the_i_th_word_of_the_seeded_stream(self):
         # numpy turns a 64-bit word w into the double (w >> 11) 2^-53
         seed = 303
-        for i in (0, 1, 2, 3, 4, 7, 4097, 2**40 + 2):
-            bits = np.random.Philox(key=seed, counter=[i // 4, 0, 0, 0])
-            word = int(bits.random_raw(4)[i % 4])
-            assert trial_stream(seed, i).random() == (word >> 11) * 2.0**-53
+        words = np.random.PCG64DXSM(seed).random_raw(4098)
+        for i in (0, 1, 2, 3, 4, 7, 4097):
+            assert trial_stream(seed, i).random() == (int(words[i]) >> 11) * 2.0**-53
+
+    def test_jumps_compose(self):
+        # advancing by a then by b lands where advancing by a + b does
+        seed, i = 303, 2**40 + 2
+        for a in (0, 1, 2**39, 2**40 + 1):
+            bits = np.random.PCG64DXSM(seed)
+            bits.advance(a)
+            bits.advance(i - a)
+            assert np.random.Generator(bits).random() == trial_stream(seed, i).random()
+
+    def test_extreme_seeds_are_accepted(self):
+        for seed in (0, 2**64 - 1):
+            word = int(np.random.PCG64DXSM(seed).random_raw(2)[1])
+            assert trial_stream(seed, 1).random() == (word >> 11) * 2.0**-53
 
 
 def skewed_config(n, seed):
@@ -368,8 +381,6 @@ class TestSpanSplit:
         sampler = TrialSampler(SKEWED, perturbed_phases(0.1))
         eta = SKEWED_IMPERFECTIONS.eta_a
         thresholds = sampler.thresholds(eta)
-        # spans that start mid-counter, at word 1 and word 3
-        assert sorted(lo % 4 for lo in starts) == [0, 1, 3]
         for lo in starts:
             outcomes = [
                 sampler.sample(trial_stream(seed, i), eta) for i in range(lo, lo + 100)
@@ -550,10 +561,9 @@ class TestBatch:
 
 class TestTrialStream:
     def test_blocks_tile_the_master_sequence(self):
-        # trial i's one draw is the i-th double of one sequential stream,
-        # including the trials that start mid-counter
+        # trial i's one draw is the i-th double of one sequential stream
         seed = 77
-        sequential = np.random.Generator(np.random.Philox(key=seed)).random(13)
+        sequential = np.random.Generator(np.random.PCG64DXSM(seed)).random(13)
         for i in range(13):
             assert trial_stream(seed, i).random() == sequential[i]
 
