@@ -58,6 +58,7 @@ FIGURES = {
     "sweep_query_us": "cli.parse_config plus cli.run of a sweep document (8 points of 1 trial, "
                       "the four axes in turn), us per query",
     "run_analytic_us": "protocol.run_analytic(state, perturbed_phases(0.0)), us per call",
+    "sampler_setup_us": "estimator.TrialSampler(state, perturbed_phases(0.05)), us per build",
     "estimate_mtrials_per_s": f"estimator.estimate on {ESTIMATE_TRIALS} trials "
                               "at eta 0.9, sigma 0.05, median Mtrials/s",
     "count_span_fill_share": f"share of one-thread estimator._count_span time, on "
@@ -201,9 +202,12 @@ def measure() -> dict:
     tasks["sweep_query_us"] = (
         query, [(text,) for text in docs["sweep_query"][:SWEEP_QUERIES]]
     )
+    two_photon = [(TwoPhotonState(*amps.tolist()),) for amps in states]
     tasks["run_analytic_us"] = (
-        lambda state: run_analytic(state, perturbed_phases(0.0)),
-        [(TwoPhotonState(*amps.tolist()),) for amps in states],
+        lambda state: run_analytic(state, perturbed_phases(0.0)), two_photon
+    )
+    tasks["sampler_setup_us"] = (
+        lambda state: TrialSampler(state, perturbed_phases(0.05)), two_photon
     )
     figures = fastest_us(tasks)
     figures.update(estimate_figures(states[0]))

@@ -65,4 +65,45 @@ from .protocol import (
     run_analytic,
     stage_probabilities,
 )
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+__all__ = [
+    "ConfigError",
+    "FaradaymeterError",
+    "InconsistentObservationError",
+    "LabelCollisionError",
+    "LabelError",
+    "NonInvertibleError",
+    "NonUnitaryError",
+    "NumericalFailureError",
+    "SingularParametersError",
+    "EstimateReport",
+    "TrialConfig",
+    "TrialOutcome",
+    "estimate",
+    "estimate_all",
+    "trial_stream",
+    "wilson_interval",
+    "CavityParams",
+    "FaradayPhases",
+    "empty_cavity_coefficient",
+    "ideal_phases",
+    "interaction_table",
+    "perturbed_phases",
+    "phases_from_params",
+    "reflection_coefficient",
+    "ImperfectionParams",
+    "degraded_parity_probability",
+    "invert_parity_probability",
+    "leak_probability",
+    "model_deviation",
+    "model_observed_probabilities",
+    "recover_concurrence",
+    "concurrence_mixed",
+    "concurrence_pure",
+    "concurrence_pure_general",
+    "ProtocolOutcome",
+    "TwoPhotonState",
+    "closed_form_outcome",
+    "run_analytic",
+    "stage_probabilities",
+]

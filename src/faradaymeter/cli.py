@@ -242,26 +242,32 @@ def _check_mode_requirements(config: RunConfig, given) -> None:
             raise ConfigError(f"mode {config.mode!r} needs {name!r} (in the config or by flag)")
     if config.mode == "oracle" and (config.state is None) == (config.density_matrix is None):
         raise ConfigError("mode 'oracle' needs exactly one of 'state' or 'density_matrix'")
+    swept = config.sweep.axis if config.sweep is not None else None
+    if swept in _SCALARS and swept in given:
+        log.warning("%s = %r is not run: the sweep along %r replaces it at every point",
+                    swept, getattr(config, swept), swept)
 
 
 def _check_ranges(config: RunConfig) -> None:
     """Build the types that own the ranges of the scalars the mode of ``config`` reads.
 
-    A sweep along a scalar also builds the runs of its end points: every
-    range is an interval, so they cover the points between.
+    A sweep along a scalar builds the runs of its end points instead of the
+    top-level run, whose value of the axis no point reads: every range is an
+    interval, so the end points cover the points between.  Its first end
+    point is built at the seed as given, since the points' seeds wrap.
     """
     reads = _MODES[config.mode].reads
     sweep = config.sweep
     context = ""
     try:
-        if "trials" in reads:
+        if sweep is not None and sweep.axis in _SCALARS:
+            context = "sweep: "
+            _trial_config(config, value=sweep.start)
+            _trial_config(config, sweep.steps - 1, sweep.stop)
+        elif "trials" in reads:
             _trial_config(config)
         elif "eta_a" in reads:
             config.imperfections
-        if sweep is not None and sweep.axis in _SCALARS:
-            context = "sweep: "
-            _trial_config(config, 0, sweep.start)
-            _trial_config(config, sweep.steps - 1, sweep.stop)
     except ValueError as exc:
         raise ConfigError(f"{context}{exc}") from None
 
@@ -397,18 +403,21 @@ def _run_analytic(config: RunConfig) -> dict:
     }
 
 
-def _trial_config(config: RunConfig, index: int | None = None, value: float = 0.0) -> TrialConfig:
+def _trial_config(
+    config: RunConfig, index: int | None = None, value: float | None = None
+) -> TrialConfig:
     """The Monte Carlo run of ``simulate`` or, given ``index``, of sweep point ``index``.
 
     The run takes the state, trials, seed, eta_a and sigma of ``config``.
     A sweep point at ``value`` replaces the input of its axis (theta runs
     cos(theta)|RR> + sin(theta)|LL>) and runs at seed ``(seed + index) mod
-    2**64``; only the seed as given is range-checked.
+    2**64``; without ``index`` the seed is taken as given.
     """
     state, trials, seed = config.state, config.trials, config.seed
     scalars = {"eta_a": config.eta_a, "sigma": config.sigma}
     if index is not None:
         seed = (seed + index) % 2**64
+    if value is not None:
         axis = config.sweep.axis
         if axis == "theta":
             state = TwoPhotonState(math.cos(value), 0.0, 0.0, math.sin(value))

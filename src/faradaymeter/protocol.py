@@ -10,24 +10,24 @@ rotation on the a photons followed by a third parity check and |+> readout
 input pair.
 
 A parity check followed by a |+> readout of its atom acts on the photon
-pair alone as one diagonal operator, ``K = r r0 Pi_odd + (r^2 + r0^2)/2
-Pi_even``, so :func:`stage_probabilities` evaluates the whole protocol on
-the 16 photon amplitudes of the two copies, without atoms.  The labelled
-seven-qubit evolution, set up in :mod:`faradaymeter.qstate`, is kept as the
-independent reference the core is tested against; :func:`parity_check` is
-its one step defined here, and it imports :mod:`faradaymeter.qstate` when
-called, so the production paths never load it.
+pair alone as the diagonal ``K = r r0 Pi_odd + (r^2 + r0^2)/2 Pi_even``.
+Only ``|r r0|^2 = 1`` and ``e = |(r^2 + r0^2)/2|^2 = cos^2(phi - phi0)``
+reach the readouts, as the plates send the even and odd parts of each b
+column to output pairs that atom 3 weighs equally, so
+:func:`stage_probabilities` is three closed-form weights and ``p_total =
+C^2/4 + e X2 + e^2 X4 + e^3 X6``.  :func:`parity_check` is the one step of
+the seven-qubit reference in :mod:`faradaymeter.qstate` defined here; it
+imports that module only when called, so production never loads it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .faraday import ATOM_GL, ATOM_GR, POL_L, POL_R, FaradayPhases, interaction_table
+from .faraday import FaradayPhases, interaction_table
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -40,13 +40,8 @@ ATOM_PLUS = np.array([_SQRT_HALF, _SQRT_HALF], dtype=complex)
 
 # Quarter-wave plate: R -> (R + L)/sqrt2, L -> (R - L)/sqrt2.
 QWP_HADAMARD = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex)
-# The same plate on both a photons, acting on the pair index 2 * a1 + a2.
-_QWP_PAIR = np.kron(QWP_HADAMARD, QWP_HADAMARD)
 
 _NORM_TOL = 1e-10
-# Distinct phases whose readout factors are kept: a sweep or a workload
-# visits only a few operating points.
-_READOUT_CACHE_SIZE = 32
 # Forgive only rounding-level excess when converting p_total to a concurrence.
 _ROUNDING_SLACK = 1e-9
 
@@ -129,29 +124,6 @@ def _failed(p1: float) -> ProtocolOutcome:
     return ProtocolOutcome(p1, 0.0, 0.0, 0.0)
 
 
-@functools.lru_cache(maxsize=_READOUT_CACHE_SIZE)
-def _readout_factors(phases: FaradayPhases) -> np.ndarray:
-    """Factor ``K[x, y]`` a parity check plus |+> readout puts on photon bits (x, y).
-
-    The atom starts in |+>; each photon multiplies the amplitude by its
-    interaction phase with the atom's ground sublevel, and the |+> readout
-    averages the two sublevels: ``K[x, y] = (t(x, g_L) t(y, g_L) +
-    t(x, g_R) t(y, g_R)) / 2``.  That is ``r r0`` for odd and
-    ``(r^2 + r0^2) / 2`` for even photon parity.  Built once per phases
-    and shared, so the array is read-only.
-    """
-    table = interaction_table(phases)
-    t = np.array(
-        [
-            [table[(POL_R, ATOM_GL)], table[(POL_R, ATOM_GR)]],
-            [table[(POL_L, ATOM_GL)], table[(POL_L, ATOM_GR)]],
-        ]
-    )
-    factors = 0.5 * (t @ t.T)
-    factors.flags.writeable = False
-    return factors
-
-
 def _readout(weight: float, previous: float) -> float:
     """Conditional |+> probability, or 0.0 for an empty branch."""
     probability = min(1.0, weight / previous)
@@ -164,30 +136,38 @@ def stage_probabilities(
     """The three conditional |+> readout probabilities of the protocol.
 
     ``q1`` is the chance atom 1 reads |+>, ``q2`` that atom 2 does given
-    atom 1 did, and ``q3`` that atom 3 does given both did, so
-    ``p1 = q1 q2`` and ``p2 = q3``.  Works on the two copies as a
-    ``(2, 2, 2, 2)`` tensor of photon bits (a1, a2, b1, b2), held as a 4x4
-    matrix with the a pair on the rows: each parity check plus readout
-    multiplies by :func:`_readout_factors` of its pair, and the
-    quarter-wave plates act on the rows.  A probability below
-    ``EMPTY_BRANCH_CUTOFF`` is reported as 0.0, and the readouts after it
-    as 0.0 too.
+    atom 1 did, and ``q3`` that atom 3 does given both did, so ``p1 = q1 q2``
+    and ``p2 = q3``; one below ``EMPTY_BRANCH_CUTOFF`` is reported as 0.0, and
+    so are the readouts after it.  They are ``w1``, ``w2 / w1`` and ``w3 / w2``
+    with ``e = cos^2(phi - phi0)``, (a, b, c, d) = (alpha, beta, gamma_c,
+    delta) and the a-photon marginals ``m_R = |a|^2 + |b|^2``, ``m_L = |c|^2 + |d|^2``:
+
+        w1 = e (m_R^2 + m_L^2) + 2 m_R m_L
+        w2 = e^2 (|a|^4 + |b|^4 + |c|^4 + |d|^4) + 2 (|ad|^2 + |bc|^2)
+             + 2e (|ab|^2 + |cd|^2 + |ac|^2 + |bd|^2)
+        w3 = |ad - bc|^2 + e (|ad + bc|^2 + |ab - cd|^2)
+             + e^2 (|ab + cd|^2 + 2|ac|^2 + 2|bd|^2 + |a^2 - c^2|^2 / 2 + |b^2 - d^2|^2 / 2)
+             + e^3 (|a^2 + c^2|^2 + |b^2 + d^2|^2) / 2
     """
-    k = _readout_factors(phases).reshape(4, 1)
-    psi = np.array(state.amplitudes(), dtype=complex).reshape(2, 2)
-    pair = np.multiply.outer(psi, psi).transpose(0, 2, 1, 3).reshape(4, 4)
-    x = k * pair  # atom 1 on (a1, a2); the input has unit norm
-    w1 = float(np.vdot(x, x).real)
+    e = math.cos(phases.phi - phases.phi0) ** 2
+    a, b, c, d = state.amplitudes()
+    na, nb, nc, nd = abs(a) ** 2, abs(b) ** 2, abs(c) ** 2, abs(d) ** 2
+    m_r, m_l = na + nb, nc + nd
+    w1 = e * (m_r * m_r + m_l * m_l) + 2.0 * m_r * m_l  # the input has unit norm
     q1 = _readout(w1, 1.0)
     if q1 == 0.0:
         return 0.0, 0.0, 0.0
-    x = x * k.T  # atom 2 on (b1, b2)
-    w2 = float(np.vdot(x, x).real)
+    w2 = e * e * (na * na + nb * nb + nc * nc + nd * nd) + 2.0 * (na * nd + nb * nc)
+    w2 += 2.0 * e * (na * nb + nc * nd + na * nc + nb * nd)
     q2 = _readout(w2, w1)
     if q2 == 0.0:
         return q1, 0.0, 0.0
-    x = k * (_QWP_PAIR @ x)  # plates on a1 and a2, then atom 3 on (a1, a2)
-    return q1, q2, _readout(float(np.vdot(x, x).real), w2)
+    ad, bc, ab, cd, a2, b2, c2, d2 = a * d, b * c, a * b, c * d, a * a, b * b, c * c, d * d
+    w3 = abs(ad - bc) ** 2 + e * (abs(ad + bc) ** 2 + abs(ab - cd) ** 2)
+    w3 += e * e * (abs(ab + cd) ** 2 + 2.0 * (na * nc + nb * nd)
+                   + 0.5 * (abs(a2 - c2) ** 2 + abs(b2 - d2) ** 2))
+    w3 += 0.5 * e**3 * (abs(a2 + c2) ** 2 + abs(b2 + d2) ** 2)
+    return q1, q2, _readout(w3, w2)
 
 
 def run_analytic(state: TwoPhotonState, phases: FaradayPhases) -> ProtocolOutcome:

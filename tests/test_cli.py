@@ -562,8 +562,12 @@ class TestMain:
          (["simulate", *BELL_FLAGS, "--trials", "0"], "trials", "n_trials"),
          (["sweep", *BELL_FLAGS, "--trials", "100", "--sweep-axis", "trials",
            "--sweep-start", "1000", "--sweep-stop", "-5", "--sweep-steps", "3"],
-          "trials", "n_trials")],
-        ids=["seed", "trials", "trials_sweep"],
+          "trials", "n_trials"),
+         # the points' seeds wrap mod 2**64, the seed as given does not
+         (["sweep", *BELL_FLAGS, "--trials", "100", "--seed", "-1", "--sweep-axis", "sigma",
+           "--sweep-start", "0", "--sweep-stop", "0.1", "--sweep-steps", "2"],
+          "seed", "master_seed")],
+        ids=["seed", "trials", "trials_sweep", "seed_sweep"],
     )
     def test_range_errors_name_the_config_key(self, flags, key, field, capsys):
         assert main(flags) == 2
@@ -588,6 +592,31 @@ class TestMain:
         assert axis in captured.err
         assert offending in captured.err
         assert captured.out == ""
+
+    # no point runs the top-level value of the swept key, so it is reported
+    # and not range-checked: each of these lies outside its key's range,
+    # or for sigma 1.2 in the large-error regime that warns when run
+    @pytest.mark.parametrize(
+        "axis, flag, value, start, stop",
+        [("sigma", "--sigma", "1.6", "0", "0.1"), ("sigma", "--sigma", "1.2", "0", "0.1"),
+         ("eta_a", "--eta", "0.0", "0.5", "1"), ("trials", "--trials", "-3", "100", "300")],
+        ids=["sigma", "sigma_large", "eta_a", "trials"],
+    )
+    def test_sweep_reports_the_top_level_value_of_its_axis(
+        self, axis, flag, value, start, stop, capsys, caplog
+    ):
+        flags = ["sweep", *BELL_FLAGS, "--seed", "4", "--sweep-axis", axis,
+                 "--sweep-start", start, "--sweep-stop", stop, "--sweep-steps", "2"]
+        if axis != "trials":
+            flags += ["--trials", "100"]
+        with caplog.at_level("WARNING", logger="faradaymeter"):
+            assert main(flags) == 0
+            plain = capsys.readouterr().out
+            assert not caplog.records
+            assert main([*flags, flag, value]) == 0
+        assert capsys.readouterr().out == plain
+        [record] = caplog.records
+        assert f"{axis} = {value} is not run" in record.getMessage()
 
     @pytest.mark.parametrize(
         "key, bad, start, stop",

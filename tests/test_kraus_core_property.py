@@ -1,4 +1,4 @@
-"""Property test: the 16-amplitude Kraus core equals the seven-qubit reference."""
+"""Property test: the closed-form stage weights of the core equal the seven-qubit reference."""
 
 import math
 

@@ -9,11 +9,9 @@ from seven_qubit_reference import reference_run
 from faradaymeter.faraday import ideal_phases, perturbed_phases
 from faradaymeter.oracle import concurrence_pure
 from faradaymeter.protocol import (
-    _READOUT_CACHE_SIZE,
     ATOM_PLUS,
     QWP_HADAMARD,
     TwoPhotonState,
-    _readout_factors,
     closed_form_outcome,
     parity_check,
     run_analytic,
@@ -200,28 +198,22 @@ class TestStageProbabilities:
             q_ref = reference_run(state, phases)[:3]
             assert stage_probabilities(state, phases) == pytest.approx(q_ref, abs=1e-12, rel=0.0)
 
-
-    def test_readout_factors_are_read_only(self):
-        factors = _readout_factors(perturbed_phases(0.1))
-        assert not factors.flags.writeable
-        with pytest.raises(ValueError):
-            factors[0, 0] = 0.0
-        assert not _readout_factors(perturbed_phases(0.1)).reshape(4, 1).flags.writeable
-
-    def test_sweep_longer_than_the_factor_cache_matches_reference(self):
-        # each pass evicts every point before it comes round again
-        rng = np.random.default_rng(29)
-        states = [random_two_photon(rng) for _ in range(3)]
-        sigmas = np.linspace(0.0, 0.4, _READOUT_CACHE_SIZE + 5)
-        for _ in range(2):
-            for sigma in sigmas:
-                phases = perturbed_phases(float(sigma))
-                for state in states:
-                    q_ref = reference_run(state, phases)[:3]
-                    assert stage_probabilities(state, phases) == pytest.approx(
-                        q_ref, abs=1e-12, rel=0.0
-                    )
-        assert _readout_factors.cache_info().currsize <= _READOUT_CACHE_SIZE
+    @pytest.mark.parametrize("concurrence", [1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 1e-2])
+    def test_near_product_states_read_the_oracle_to_rounding(self, concurrence):
+        # cos t |RR> + sin t |LL> under random local unitaries, so every
+        # amplitude is nonzero and alpha delta - beta gamma_c cancels
+        rng = np.random.default_rng(17)
+        t = 0.5 * math.asin(concurrence)
+        schmidt = np.array([[math.cos(t), 0.0], [0.0, math.sin(t)]])
+        for _ in range(20):
+            u_a, u_b = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                        for _ in range(2))
+            state = TwoPhotonState.normalized(*(u_a @ schmidt @ u_b.T).reshape(4))
+            expected = concurrence_pure(state)
+            assert expected == pytest.approx(concurrence, rel=1e-6)
+            assert run_analytic(state, ideal_phases()).c_estimate == pytest.approx(
+                expected, rel=1e-13, abs=0.0
+            )
 
 
 class TestClosedForm:
