@@ -8,8 +8,8 @@ the copy in another checkout measures that checkout.  The named column of
 side by side in one file.  The inputs are fixed (Haar states from
 ``numpy.random.default_rng(7)``), so two columns time the same work.  Each
 per-call figure is the fastest of many passes spread over the whole run;
-the Monte Carlo figures are medians of whole 1e7-trial calls.  Takes about
-30 s.
+the Monte Carlo and ``simulate`` figures are medians of whole calls that
+take turns.  Takes about 15 s.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
 from io import StringIO
 from pathlib import Path
 from statistics import median
@@ -39,14 +40,16 @@ from faradaymeter.protocol import TwoPhotonState, run_analytic  # noqa: E402
 
 STATES = 64
 ROUNDS = 400
-# A sweep query takes about 2 ms, so its passes run the first few documents.
+# A sweep-dense query takes about 2 ms, so its passes run the first few documents.
 SWEEP_QUERIES = 8
 ESTIMATE_TRIALS = 10_000_000
 # The fastest of 7 calls of 2e6 trials (about 10 ms each) read 15.7 and 24.7
 # Mtrials/s for one tree; the median of 15 whole 1e7-trial calls holds steadier.
 ESTIMATE_REPEATS = 15
 SIMULATE_TRIALS = {"1e6": 1_000_000, "1e7": 10_000_000}
-SIMULATE_REPEATS = 5
+# The fastest of 5 queries moved 1.7x with no estimator change; the median
+# of 15 alternating queries holds steadier.
+SIMULATE_REPEATS = 15
 
 FIGURES = {
     "record_write_us.analytic": "cli._record on an analytic record (eta 0.9, sigma 0), us per record",
@@ -57,6 +60,9 @@ FIGURES = {
                              "trials, the four axes in turn), us per call",
     "sweep_query_us": "cli.parse_config plus cli.run of a sweep document (8 points of 1 trial, "
                       "the four axes in turn), us per query",
+    "sweep_dense_query_us": "cli.parse_config plus cli.run of a sweep-dense document (8 points "
+                            "of 20000 trials on the span helpers, the four axes in turn), "
+                            "us per query",
     "run_analytic_us": "protocol.run_analytic(state, perturbed_phases(0.0)), us per call",
     "sampler_setup_us": "estimator.TrialSampler(state, perturbed_phases(0.05)), us per build",
     "estimate_mtrials_per_s": f"estimator.estimate on {ESTIMATE_TRIALS} trials "
@@ -69,7 +75,8 @@ FIGURES = {
                                 "on the calling thread, median Mtrials/s",
     **{
         f"simulate_query_ms.{label}": f"cli.parse_config plus cli.run of a simulate document "
-                                      f"({trials} trials, eta 0.9, sigma 0.05), ms per query"
+                                      f"({trials} trials, eta 0.9, sigma 0.05), median ms of "
+                                      f"{SIMULATE_REPEATS} queries taking turns with the other size"
         for label, trials in SIMULATE_TRIALS.items()
     },
 }
@@ -143,11 +150,26 @@ def fastest_us(tasks: dict, rounds: int = ROUNDS) -> dict[str, float]:
     return best
 
 
+def timed_rounds(calls: dict, repeats: int) -> dict[str, list[float]]:
+    """Seconds of each call in each of ``repeats`` rounds.
+
+    The calls take turns, one each per round, so a slow spell of the host
+    slows each of them alike.
+    """
+    seconds = {name: [] for name in calls}
+    for _ in range(repeats):
+        for name, call in calls.items():
+            start = time.perf_counter()
+            call()
+            seconds[name].append(time.perf_counter() - start)
+    return seconds
+
+
 def estimate_figures(amps: np.ndarray) -> dict[str, float]:
     """Throughput of ``estimate`` and the fill share of one-thread ``_count_span``.
 
-    The three calls take turns, so a slow spell of the host slows each of
-    them alike; each figure is a median over ``ESTIMATE_REPEATS`` rounds.
+    The three calls take turns; each figure is a median over
+    ``ESTIMATE_REPEATS`` rounds.
     """
     config = TrialConfig(
         n_trials=ESTIMATE_TRIALS,
@@ -174,12 +196,7 @@ def estimate_figures(amps: np.ndarray) -> dict[str, float]:
         "count_span": lambda: estimator._count_span(config.master_seed, thresholds, 0, n),
         "fill": fill,
     }
-    seconds = {name: [] for name in calls}
-    for _ in range(ESTIMATE_REPEATS):
-        for name, call in calls.items():
-            start = time.perf_counter()
-            call()
-            seconds[name].append(time.perf_counter() - start)
+    seconds = timed_rounds(calls, ESTIMATE_REPEATS)
     fill_shares = [f / c for f, c in zip(seconds["fill"], seconds["count_span"])]
     return {
         "estimate_mtrials_per_s": n / median(seconds["estimate"]) / 1e6,
@@ -199,9 +216,8 @@ def measure() -> dict:
         )
         tasks[f"parse_config_us.{mode}"] = (cli.parse_config, [(text,) for text in docs[mode]])
     tasks["parse_config_us.sweep"] = (cli.parse_config, [(text,) for text in docs["sweep"]])
-    tasks["sweep_query_us"] = (
-        query, [(text,) for text in docs["sweep_query"][:SWEEP_QUERIES]]
-    )
+    for name, kind in (("sweep_query_us", "sweep_query"), ("sweep_dense_query_us", "sweep")):
+        tasks[name] = (query, [(text,) for text in docs[kind][:SWEEP_QUERIES]])
     two_photon = [(TwoPhotonState(*amps.tolist()),) for amps in states]
     tasks["run_analytic_us"] = (
         lambda state: run_analytic(state, perturbed_phases(0.0)), two_photon
@@ -212,14 +228,14 @@ def measure() -> dict:
     figures = fastest_us(tasks)
     figures.update(estimate_figures(states[0]))
     simulate = {
-        f"simulate_query_ms.{label}": (query, [(json.dumps({
+        f"simulate_query_ms.{label}": partial(query, json.dumps({
             "mode": "simulate", "state": state_section(states[0]), "trials": trials, "seed": 1,
             "eta_a": 0.9, "sigma": 0.05,
-        }),)])
+        }))
         for label, trials in SIMULATE_TRIALS.items()
     }
-    for name, us in fastest_us(simulate, SIMULATE_REPEATS).items():
-        figures[name] = us / 1e3
+    for name, seconds in timed_rounds(simulate, SIMULATE_REPEATS).items():
+        figures[name] = median(seconds) * 1e3
     return {key: round(value, 3) for key, value in figures.items()}
 
 

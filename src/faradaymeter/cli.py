@@ -40,6 +40,9 @@ from .oracle import concurrence_mixed, concurrence_pure, concurrence_pure_genera
 from .protocol import TwoPhotonState, run_analytic
 
 log = logging.getLogger("faradaymeter")
+# used as a library, the package prints no warning unless its caller
+# configures logging; main does, through basicConfig
+log.addHandler(logging.NullHandler())
 
 CONFIG_SCHEMA = "faradaymeter-config/1"
 RECORD_SCHEMA = "faradaymeter-record/1"

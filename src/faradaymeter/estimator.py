@@ -13,13 +13,17 @@ the configuration: trials can be replayed individually, batched or split
 across workers without changing a single outcome.
 
 ``estimate_all`` runs a batch of configurations, such as the points of a
-sweep, on one set of worker threads (numpy's PCG64DXSM fill and ufuncs
-release the interpreter lock); ``estimate`` is a batch of one.  Each run is
-cut into contiguous trial spans, a long run into more spans than a short
-one, and the workers, the calling thread among them, take spans off one
-shared list until it is empty.  A span is the stream advanced to draw
-``lo`` and read on into a small buffer the worker reuses; per buffer, one
-compare against ``q1`` and one against ``q2`` give its two counts.
+sweep, on the calling thread and up to ``_MAX_WORKERS - 1`` helper threads
+(numpy's PCG64DXSM fill and ufuncs release the interpreter lock);
+``estimate`` is a batch of one.  The helpers belong to one pool per
+process, started by the first batch that splits and kept for the next; a
+forked child starts its own.  Each run is cut into contiguous trial spans,
+a long run into more spans than a short one, and the workers take spans
+off one shared list until it is empty.  The caller never waits for a
+helper that has not started, so a helper that wakes late costs nothing.
+A span is the stream advanced to draw ``lo`` and read on into a small
+buffer the worker reuses; per buffer, one compare against ``q1`` and one
+against ``q2`` give its two counts.
 """
 
 from __future__ import annotations
@@ -50,6 +54,9 @@ _WILSON_Z = 1.9599639845400536
 _BUFFER_TRIALS = 1 << 15
 _MIN_SPAN = 1 << 13
 _MAX_WORKERS = 4
+# The helpers that count spans beside the calling thread; see _helpers.
+_pool = None
+_pool_lock = threading.Lock()
 
 
 class TrialOutcome(NamedTuple):
@@ -217,35 +224,74 @@ def _count_span(
     return stage1, stage2
 
 
+def _helpers():
+    """The process's pool of span helpers, started by the first batch that splits."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_MAX_WORKERS - 1, thread_name_prefix="faradaymeter-span")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool but none of its threads
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _count_tasks(tasks: list[tuple], workers: int) -> list[tuple[int, tuple[int, int]]]:
     """``(run index, (stage-1, stage-2 passes))`` of every span task.
 
-    A task is ``(run index, seed, (q1, q2), lo, hi)``.  ``workers`` threads,
-    the calling thread one of them, each take the next task off the one
-    shared list until it is empty.
+    A task is ``(run index, seed, (q1, q2), lo, hi)``.  The calling thread
+    and ``workers - 1`` helpers sent to the process's pool each take the
+    next task off the one shared list until it is empty.  Once it is, the
+    caller waits only for the spans already taken: a helper that starts
+    later finds nothing left and is never waited for.  If a span raises,
+    no worker takes another and the caller raises the first error.
     """
     pending = iter(tasks)
-    take = threading.Lock()
+    counted = []
+    errors = []
+    in_flight = 0
+    done = threading.Condition()
 
-    def work() -> list:
-        counted = []
+    # work never raises, so no helper's future needs reading: a span's error
+    # is kept in errors, stops the other workers and is raised by the caller
+    def work() -> None:
+        nonlocal in_flight
         while True:
-            with take:
-                task = next(pending, None)
-            if task is None:
-                return counted
+            with done:
+                task = None if errors else next(pending, None)
+                if task is None:
+                    return
+                in_flight += 1
             index, seed, thresholds, lo, hi = task
-            counted.append((index, _count_span(seed, thresholds, lo, hi)))
+            try:
+                counted.append((index, _count_span(seed, thresholds, lo, hi)))
+            except BaseException as exc:
+                errors.append(exc)
+            finally:
+                with done:
+                    in_flight -= 1
+                    if not in_flight:
+                        done.notify_all()
 
-    if workers < 2:
-        return work()
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers - 1, thread_name_prefix="faradaymeter-span") as pool:
-        futures = [pool.submit(work) for _ in range(workers - 1)]
-        counted = work()
-        for future in futures:
-            counted += future.result()
+    if workers > 1:
+        pool = _helpers()
+        for _ in range(workers - 1):
+            pool.submit(work)
+    work()
+    with done:
+        done.wait_for(lambda: not in_flight)
+    if errors:
+        raise errors[0]
     return counted
 
 
@@ -276,13 +322,13 @@ def estimate_all(configs: Sequence[TrialConfig]) -> list[EstimateReport]:
     """Run every trial of each configuration and summarize each one's counts.
 
     The runs are cut into contiguous trial spans, a run long relative to
-    the batch into several, and all spans of all runs are dealt out to one
-    set of worker threads: as many as the CPUs the process may run on, at
-    most ``_MAX_WORKERS``, and no more than there are spans or whole
-    ``_MIN_SPAN`` blocks in the batch, so a batch of tiny runs, like a run
-    under 2 ``_MIN_SPAN``, stays on the calling thread.  Each trial's draw
-    sits at a fixed stream offset, so any buffer size, split and schedule
-    produce the identical reports.  The samplers and the reports are built
+    the batch into several, and all spans of all runs are dealt out to the
+    calling thread and the helpers of the process's pool, as many workers
+    as the CPUs the process may run on, at most ``_MAX_WORKERS``, and no
+    more than there are spans or whole ``_MIN_SPAN`` blocks in the batch,
+    so a batch of tiny runs, like a run under 2 ``_MIN_SPAN``, stays on the
+    calling thread.  Each trial's draw sits at a fixed stream offset, so any
+    buffer size, split and schedule produce the identical reports.  The samplers and the reports are built
     on the calling thread, in order.  Statistically awkward data does not raise:
     the corrected estimate is computed with clamping so a noisy run still
     yields a usable report.

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import logging
 import math
 import subprocess
 import sys
@@ -618,6 +619,16 @@ class TestMain:
         [record] = caplog.records
         assert f"{axis} = {value} is not run" in record.getMessage()
 
+    def test_library_use_prints_no_warning(self, capfd):
+        # as in a process that never configures logging, where a logger with
+        # no handler of its own would fall back to logging's last resort
+        sweep = {"axis": "sigma", "start": 0.0, "stop": 0.1, "steps": 2}
+        text = json.dumps({"mode": "sweep", "state": BELL_STATE, "sigma": 0.3, "sweep": sweep})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(logging.getLogger(), "handlers", [])
+            parse_config(text)
+        assert capfd.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "key, bad, start, stop",
         [("eta_a", 0, 0.0, 0.5), ("trials", 0, 0.4, 1000), ("sigma", 1.6, 0.0, -1.6)],
@@ -729,10 +740,12 @@ class TestDeterminism:
 
     def test_cli_import_leaves_out_the_reference_engine(self):
         # the seven-qubit engine is a test reference, not a CLI dependency,
-        # and statistics would load fractions and decimal on every start
+        # statistics would load fractions and decimal on every start, and
+        # the span helpers' pool is imported by the first batch that splits
         code = (
             "import sys, faradaymeter.cli; "
-            "print('faradaymeter.qstate' in sys.modules, 'statistics' in sys.modules)"
+            "print('faradaymeter.qstate' in sys.modules, 'statistics' in sys.modules, "
+            "'concurrent.futures' in sys.modules)"
         )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
-        assert result.stdout == b"False False\n"
+        assert result.stdout == b"False False False\n"

@@ -1,9 +1,12 @@
 """Tests for the Monte Carlo estimator and its deterministic streams."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -485,12 +488,95 @@ class TestBatch:
 
         monkeypatch.setattr(threading.Thread, "start", recording_start)
         configs = sweep_configs(8, 20_000)
-        estimate_all(configs)
-        assert sorted((seed, lo, hi) for seed, lo, hi, _ in span_log) == [
-            (config.master_seed, 0, config.n_trials) for config in configs
-        ]
-        assert len(started) == 1
-        assert started[0].startswith("faradaymeter-span")
+        for _ in range(2):
+            span_log.clear()
+            estimate_all(configs)
+            assert sorted((seed, lo, hi) for seed, lo, hi, _ in span_log) == [
+                (config.master_seed, 0, config.n_trials) for config in configs
+            ]
+        # the pool outlives a batch, so the second starts no thread
+        assert len(started) <= 1
+        assert all(name.startswith("faradaymeter-span") for name in started)
+
+    def test_the_pool_never_holds_more_than_the_helper_cap(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_available_cpus", lambda: 64)
+        helpers = []
+        count_span = estimator._count_span
+
+        def live_helpers():
+            return sum(t.name.startswith("faradaymeter-span") for t in threading.enumerate())
+
+        def recording(seed, thresholds, lo, hi):
+            helpers.append(live_helpers())
+            return count_span(seed, thresholds, lo, hi)
+
+        monkeypatch.setattr(estimator, "_count_span", recording)
+        configs = sweep_configs(8, 20_000)
+        for _ in range(20):
+            estimate_all(configs)
+            helpers.append(live_helpers())
+        assert 0 < max(helpers) <= estimator._MAX_WORKERS - 1
+
+    def test_the_caller_counts_every_span_when_no_helper_runs(self, span_log, monkeypatch):
+        class Idle:
+            def submit(self, work):
+                pass  # the work is dropped, as if no helper ever woke
+
+        monkeypatch.setattr(estimator, "_pool", Idle())
+        configs = sweep_configs(8, 20_000)
+        reports = estimate_all(configs)
+        assert len(span_log) == 8
+        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
+
+    def test_an_error_on_a_helper_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_available_cpus", lambda: 2)
+        caller = threading.get_ident()
+        helper_took_a_span = threading.Event()
+        count_span = estimator._count_span
+
+        def failing_on_helpers(seed, thresholds, lo, hi):
+            if threading.get_ident() != caller:
+                helper_took_a_span.set()
+                raise RuntimeError("helper failed")
+            # hold the caller's span until a helper has one, so it cannot
+            # take every span itself
+            assert helper_took_a_span.wait(timeout=60)
+            return count_span(seed, thresholds, lo, hi)
+
+        monkeypatch.setattr(estimator, "_count_span", failing_on_helpers)
+        with pytest.raises(RuntimeError, match="helper failed"):
+            estimate_all(sweep_configs(8, 20_000))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_pool(self):
+        # a child interpreter, so a fork of this threaded test process is
+        # never needed; it prints the child's exit code
+        code = f"""
+import os, sys, threading
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from serial_estimator_reference import serial_counts
+from test_estimator import skewed_config, SPLIT_TRIALS
+from faradaymeter import estimator
+
+estimator._available_cpus = lambda: 2
+config = skewed_config(SPLIT_TRIALS, 61)
+expected = serial_counts(config)
+report = estimator.estimate(config)
+assert (report.stage1_successes, report.stage2_successes) == expected
+pid = os.fork()
+if pid == 0:
+    report = estimator.estimate(config)
+    helpers = [t for t in threading.enumerate() if t.name.startswith("faradaymeter-span")]
+    same = (report.stage1_successes, report.stage2_successes) == expected
+    os._exit(0 if same and helpers else 1)
+_, status = os.waitpid(pid, 0)
+print(os.waitstatus_to_exitcode(status))
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "0\n"
 
     def test_tiny_batch_stays_on_the_calling_thread(self, span_log, monkeypatch):
         started = []
