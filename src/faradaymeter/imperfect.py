@@ -6,8 +6,12 @@ touching the quantum probabilities.  A coupled-phase error sigma lets the
 wrong parity branch leak through each atom readout with probability
 ``sin(sigma)^2``, degrading an ideal stage probability p to
 ``p + (1 - p) * sin(sigma)^2``.  Both effects are invertible as long as the
-leak is not total and the efficiency is nonzero, which is what lets a noisy
-run still report a calibrated concurrence.
+leak is not total and the efficiency is nonzero.
+
+No record reads the leak model: on most states its inversion lands further
+from the true concurrence than the uncorrected number, so records divide
+out eta_a^3 only.  The model is kept for library use and for the checks of
+its exactness and of the round trip through it.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ class ImperfectionParams:
 
     ``eta_a`` must lie in (0, 1] and have a nonzero cube (above about
     1.4e-108): the correction divides by eta_a**3.  Any ``|sigma| < pi/2``
-    is accepted, but the leak model is only a good description for small
-    errors, so values at or beyond pi/4 trigger a warning.
+    is accepted, but no record corrects the phase error and its bias grows
+    with sigma (2 sqrt(p_total) is off by up to about 0.6 at sigma 0.5), so
+    values at or beyond pi/4 trigger a warning.
     """
 
     eta_a: float = 1.0
@@ -69,32 +74,25 @@ def degraded_parity_probability(p: float, sigma: float) -> float:
     return p + (1.0 - p) * leak
 
 
-def invert_parity_probability(p_observed: float, sigma: float, *, strict: bool = True) -> float:
+def invert_parity_probability(p_observed: float, sigma: float) -> float:
     """Undo the leak: recover the ideal ``p`` from an observed value.
 
     An observation below the model floor ``sin(sigma)^2`` cannot come from
-    any ideal probability.  With ``strict=True`` that raises; with
-    ``strict=False`` (statistical data) the result is clamped into [0, 1].
+    any ideal probability and raises; the result is clamped into [0, 1].
     """
     if not 0.0 <= p_observed <= 1.0:
         raise ValueError(f"probability {p_observed!r} outside [0, 1]")
     leak = leak_probability(sigma)
     if leak >= 1.0 - 1e-12:
         raise NonInvertibleError("phase error leaks every trial; nothing to invert")
-    if strict and p_observed < leak - _FLUCTUATION_SLACK:
+    if p_observed < leak - _FLUCTUATION_SLACK:
         raise InconsistentObservationError(
             f"observed probability {p_observed!r} is below the leak floor {leak!r}"
         )
     return min(1.0, max(0.0, (p_observed - leak) / (1.0 - leak)))
 
 
-def recover_concurrence(
-    p1_observed: float,
-    p2_observed: float,
-    params: ImperfectionParams,
-    *,
-    strict: bool = True,
-) -> float:
+def recover_concurrence(p1_observed: float, p2_observed: float, params: ImperfectionParams) -> float:
     """Calibrated concurrence from observed stage probabilities.
 
     Inverts the leak on each stage, divides the three detection factors out
@@ -103,8 +101,8 @@ def recover_concurrence(
     to it once: that model is measurably closer to the exact simulation than
     one that treats the two readouts as independently degraded.
     """
-    q1 = invert_parity_probability(p1_observed, params.sigma, strict=strict)
-    q2 = invert_parity_probability(p2_observed, params.sigma, strict=strict)
+    q1 = invert_parity_probability(p1_observed, params.sigma)
+    q2 = invert_parity_probability(p2_observed, params.sigma)
     p_total = q1 * q2 / params.eta_a**3
     return min(1.0, 2.0 * math.sqrt(p_total))
 
@@ -118,8 +116,7 @@ def model_deviation(state: TwoPhotonState, sigma: float) -> float:
     """Largest gap between the leak model and the exact perturbed simulation.
 
     Useful for checking that the model error vanishes quadratically as the
-    phase error shrinks, which is what justifies using the inversion on
-    measured data.
+    phase error shrinks.
     """
     ideal = run_analytic(state, ideal_phases())
     m1, m2 = model_observed_probabilities(ideal.p1, ideal.p2, sigma)

@@ -63,7 +63,7 @@ class TestConfigValidation:
             bell_config(10, False)
 
     def test_phases_must_match_sigma(self):
-        # the trials' phase error and the one corrected for have one source
+        # the trials' phase error and the one the record echoes have one source
         with pytest.raises(ValueError, match="sigma=0.3"):
             bell_config(10, 1, ImperfectionParams(sigma=0.3))
         with pytest.raises(ValueError, match="sigma=0.0"):

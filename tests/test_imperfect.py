@@ -115,9 +115,6 @@ class TestDegradeInvert:
         with pytest.raises(InconsistentObservationError):
             invert_parity_probability(0.1, 0.6)
 
-    def test_inconsistent_observation_clamps_when_lenient(self):
-        assert invert_parity_probability(0.1, 0.6, strict=False) == 0.0
-
 
 class TestRecover:
     def test_ideal_passthrough(self):
