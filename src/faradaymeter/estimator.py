@@ -15,12 +15,16 @@ across workers without changing a single outcome.
 ``estimate_all`` runs a batch of configurations, such as the points of a
 sweep, on the calling thread and up to ``_MAX_WORKERS - 1`` helper threads
 (numpy's PCG64DXSM fill and ufuncs release the interpreter lock);
-``estimate`` is a batch of one.  The helpers belong to one pool per
-process, started by the first batch that splits and kept for the next; a
-forked child starts its own.  Each run is cut into contiguous trial spans,
-a long run into more spans than a short one, and the workers take spans
-off one shared list until it is empty.  The caller never waits for a
-helper that has not started, so a helper that wakes late costs nothing.
+``estimate`` is a batch of one.  A helper is woken only for a batch of at
+least ``2 * _MIN_SPAN`` trials in all, one per ``_MIN_SPAN`` trials: below
+that, waking one costs more than it saves, so a sweep of short points,
+such as 8 of 20000 trials, counts on the calling thread and starts no
+thread.  The helpers belong to one pool per process, started by the first
+batch that splits and kept for the next; a forked child starts its own.
+Each run is cut into contiguous trial spans, a long run into more spans
+than a short one, and the workers take spans off one shared list until it
+is empty.  The caller never waits for a helper that has not started, so
+a helper that wakes late costs nothing.
 A span is the stream advanced to draw ``lo`` and read on into a small
 buffer the worker reuses; per buffer, one compare against ``q1`` and one
 against ``q2`` give its two counts.
@@ -50,9 +54,11 @@ RNG_ID = "pcg64dxsm/1-double-per-trial"
 _WILSON_Z = 1.9599639845400536
 
 # Trials per reused draw buffer (256 KiB of draws), the fewest trials worth
-# a thread of their own, and the most threads one call starts.
+# a thread of their own, and the most threads one call starts.  On 2 CPUs
+# a helper made a sweep of 8 runs of 20000 trials slower, while a lone run
+# of 524288 to 1e6 trials, cut in two, counted about 1.4x as fast (README).
 _BUFFER_TRIALS = 1 << 15
-_MIN_SPAN = 1 << 13
+_MIN_SPAN = 1 << 18
 _MAX_WORKERS = 4
 # The helpers that count spans beside the calling thread; see _helpers.
 _pool = None
@@ -100,7 +106,10 @@ class EstimateReport:
     clamped, so sampling noise can push it slightly above 1;
     ``corrected_c_hat`` is ``2 sqrt(p_total_hat / eta_a**3)``, the detection
     efficiency divided out, clamped to at most 1.  Neither corrects the
-    phase error.
+    phase error.  ``c_low`` and ``c_high`` are the 95% Wilson interval of
+    ``p_total_hat`` mapped through ``2 sqrt(p)``: they bracket the raw
+    ``c_hat``, not ``corrected_c_hat``, which at ``eta_a < 1`` can lie
+    above ``c_high``.
     """
 
     trials: int
@@ -328,11 +337,12 @@ def estimate_all(configs: Sequence[TrialConfig]) -> list[EstimateReport]:
     calling thread and the helpers of the process's pool, as many workers
     as the CPUs the process may run on, at most ``_MAX_WORKERS``, and no
     more than there are spans or whole ``_MIN_SPAN`` blocks in the batch,
-    so a batch of tiny runs, like a run under 2 ``_MIN_SPAN``, stays on the
-    calling thread.  Each trial's draw sits at a fixed stream offset, so any
-    buffer size, split and schedule produce the identical reports.  The
-    samplers and the reports are built on the calling thread, in order.  No
-    count raises: a corrected estimate that noise pushes above 1 is clamped.
+    so a batch under 2 ``_MIN_SPAN`` trials in all, such as a sweep of 8
+    points of 20000 trials, stays on the calling thread.
+    Each trial's draw sits at a fixed stream offset, so any buffer size,
+    split and schedule produce the identical reports.  The samplers and the
+    reports are built on the calling thread, in order.  No count raises: a
+    corrected estimate that noise pushes above 1 is clamped.
     """
     cpus = min(_MAX_WORKERS, _available_cpus())
     total = sum(config.n_trials for config in configs)

@@ -17,6 +17,7 @@ from faradaymeter.cli import (
     _EXIT_CODES,
     RunConfig,
     SWEEP_COLUMNS,
+    SweepSpec,
     main,
     parse_config,
     run,
@@ -344,6 +345,18 @@ class TestSweep:
             assert value == pytest.approx(min(1.0, 2.0 * math.sqrt(stage2 / (trials * eta**3))),
                                           rel=1e-14)
         assert max(corrected) < 1.0
+
+    def test_points_are_bit_for_bit_numpy_linspace(self):
+        rng = np.random.default_rng(22)
+        for _ in range(3000):
+            scale = 10.0 ** rng.integers(-6, 7)
+            start, stop = (rng.uniform(-scale, scale, size=2) * rng.integers(0, 2, size=2)).tolist()
+            if rng.random() < 0.1:
+                stop = start
+            steps = int(rng.integers(2, 300))
+            points = SweepSpec("sigma", start, stop, steps).values()
+            expected = np.linspace(start, stop, steps).tolist()
+            assert list(map(float.hex, points)) == list(map(float.hex, expected))
 
     def test_theta_axis_replaces_state(self):
         doc = {

@@ -33,8 +33,9 @@ IDEAL = ImperfectionParams()
 # every stage is non-trivial for this state at sigma 0.1 and eta 0.8
 SKEWED = TwoPhotonState(0.6, 0.3j, -0.2, math.sqrt(1.0 - 0.36 - 0.09 - 0.04))
 SKEWED_IMPERFECTIONS = ImperfectionParams(eta_a=0.8, sigma=0.1)
-# spans several workers and buffers, and is a multiple of neither
-SPLIT_TRIALS = 3 * 2**15 + 977
+# long enough to split across three workers, spans several buffers, and is
+# a multiple of neither
+SPLIT_TRIALS = 3 * estimator._MIN_SPAN + 977
 
 
 def bell_config(n, seed, imperfections=IDEAL, sigma=0.0):
@@ -372,7 +373,7 @@ class TestSpanSplit:
     def test_split_matches_serial_reference(self, spans):
         config = skewed_config(SPLIT_TRIALS, 4242)
         report = estimate(config)
-        assert sorted(spans) == [(0, 33093), (33093, 66187), (66187, SPLIT_TRIALS)]
+        assert sorted(spans) == [(0, 262469), (262469, 524939), (524939, SPLIT_TRIALS)]
         assert (report.stage1_successes, report.stage2_successes) == serial_counts(config)
 
     def test_span_streams_replay_per_trial(self, spans):
@@ -423,10 +424,10 @@ class TestSpanSplit:
         assert spans == [(0, 2 * estimator._MIN_SPAN - 1)]
 
     def test_memory_peak_is_bounded_at_the_worker_cap(self, monkeypatch):
-        # with every worker the cap allows, 1e6 trials keep only the reused
-        # buffers alive, not a draws array per chunk
+        # with every worker the cap allows, a run long enough for all of them
+        # keeps only the reused buffers alive, not a draws array per chunk
         monkeypatch.setattr(estimator, "_available_cpus", lambda: 64)
-        config = bell_config(1_000_000, 19)
+        config = bell_config(estimator._MAX_WORKERS * estimator._MIN_SPAN, 19)
         estimate(config)
         tracemalloc.start()
         try:
@@ -458,13 +459,15 @@ def passes(report):
 
 @pytest.fixture
 def span_log(monkeypatch):
-    """Offer two CPUs; record each span's seed, bounds and the live thread names."""
+    """Offer two CPUs; record each span's seed, bounds, the thread that counts
+    it and the live thread names."""
     monkeypatch.setattr(estimator, "_available_cpus", lambda: 2)
     recorded = []
     count_span = estimator._count_span
 
     def recording(seed, thresholds, lo, hi):
-        recorded.append((seed, lo, hi, {thread.name for thread in threading.enumerate()}))
+        live = {thread.name for thread in threading.enumerate()}
+        recorded.append((seed, lo, hi, threading.current_thread().name, live))
         return count_span(seed, thresholds, lo, hi)
 
     monkeypatch.setattr(estimator, "_count_span", recording)
@@ -486,14 +489,31 @@ class TestBatch:
             started.append(thread.name)
             start(thread)
 
+        caller = threading.get_ident()
+        helper_took_a_span = threading.Event()
+        record = estimator._count_span
+
+        def held(seed, thresholds, lo, hi):
+            if threading.get_ident() != caller:
+                helper_took_a_span.set()
+            # hold the caller's span until a helper has one, so it cannot
+            # take every span itself
+            elif not helper_took_a_span.wait(timeout=60):
+                raise RuntimeError("no helper took a span")
+            return record(seed, thresholds, lo, hi)
+
         monkeypatch.setattr(threading.Thread, "start", recording_start)
-        configs = sweep_configs(8, 20_000)
+        monkeypatch.setattr(estimator, "_count_span", held)
+        # 2 _MIN_SPAN trials in all, one helper's worth on two CPUs
+        configs = sweep_configs(8, estimator._MIN_SPAN // 4)
         for _ in range(2):
             span_log.clear()
+            helper_took_a_span.clear()
             estimate_all(configs)
-            assert sorted((seed, lo, hi) for seed, lo, hi, _ in span_log) == [
+            assert sorted((seed, lo, hi) for seed, lo, hi, *_ in span_log) == [
                 (config.master_seed, 0, config.n_trials) for config in configs
             ]
+            assert any(counter.startswith("faradaymeter-span") for *_, counter, _ in span_log)
         # the pool outlives a batch, so the second starts no thread
         assert len(started) <= 1
         assert all(name.startswith("faradaymeter-span") for name in started)
@@ -501,6 +521,7 @@ class TestBatch:
     def test_the_pool_never_holds_more_than_the_helper_cap(self, monkeypatch):
         monkeypatch.setattr(estimator, "_available_cpus", lambda: 64)
         helpers = []
+        counters = []
         count_span = estimator._count_span
 
         def live_helpers():
@@ -508,13 +529,17 @@ class TestBatch:
 
         def recording(seed, thresholds, lo, hi):
             helpers.append(live_helpers())
+            counters.append(threading.current_thread().name)
             return count_span(seed, thresholds, lo, hi)
 
         monkeypatch.setattr(estimator, "_count_span", recording)
-        configs = sweep_configs(8, 20_000)
+        # enough trials in all to wake every helper the cap allows
+        configs = sweep_configs(8, estimator._MAX_WORKERS * estimator._MIN_SPAN // 8)
         for _ in range(20):
             estimate_all(configs)
             helpers.append(live_helpers())
+        # these batches used a helper, not only a pool earlier tests left
+        assert any(name.startswith("faradaymeter-span") for name in counters)
         assert 0 < max(helpers) <= estimator._MAX_WORKERS - 1
 
     def test_the_caller_counts_every_span_when_no_helper_runs(self, span_log, monkeypatch):
@@ -523,7 +548,8 @@ class TestBatch:
                 pass  # the work is dropped, as if no helper ever woke
 
         monkeypatch.setattr(estimator, "_pool", Idle())
-        configs = sweep_configs(8, 20_000)
+        # 2 _MIN_SPAN trials in all, so the batch asks for a helper
+        configs = sweep_configs(8, estimator._MIN_SPAN // 4)
         reports = estimate_all(configs)
         assert len(span_log) == 8
         assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
@@ -545,7 +571,7 @@ class TestBatch:
 
         monkeypatch.setattr(estimator, "_count_span", failing_on_helpers)
         with pytest.raises(RuntimeError, match="helper failed"):
-            estimate_all(sweep_configs(8, 20_000))
+            estimate_all(sweep_configs(8, estimator._MIN_SPAN // 4))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_starts_its_own_pool(self):
@@ -593,6 +619,29 @@ print(os.waitstatus_to_exitcode(status))
         assert started == []
         assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
 
+    def test_batches_under_two_min_spans_wake_no_helper(self, span_log, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        configs = sweep_configs(8, 20_000)
+        reports = estimate_all(configs)
+        assert started == []
+        caller = threading.current_thread().name
+        assert [counter for *_, counter, _ in span_log] == [caller] * 8
+        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
+        # a run of 2 _MIN_SPAN trials is the shortest that splits
+        span_log.clear()
+        n = 2 * estimator._MIN_SPAN
+        config = skewed_config(n, 45)
+        report = estimate(config)
+        assert sorted((lo, hi) for _, lo, hi, *_ in span_log) == [(0, n // 2), (n // 2, n)]
+        assert passes(report) == serial_counts(config)
+
     def test_pool_threads_are_named_while_a_split_run_counts(self, span_log):
         estimate(skewed_config(SPLIT_TRIALS, 12))
         assert len(span_log) == 2
@@ -600,7 +649,7 @@ print(os.waitstatus_to_exitcode(status))
             assert any(name.startswith("faradaymeter-span") for name in live)
 
     def test_long_run_in_a_batch_of_short_ones_is_split(self, spans):
-        short = 8000
+        short = estimator._MIN_SPAN // 4
         configs = [skewed_config(SPLIT_TRIALS, 31)] + [skewed_config(short, s) for s in (32, 33, 34)]
         reports = estimate_all(configs)
         half = SPLIT_TRIALS // 2
