@@ -1,15 +1,19 @@
-"""Per-layer timings of faradaymeter, written as one column of a BENCH file.
+"""Per-layer timings of faradaymeter, written as columns of a BENCH file.
 
     python3 bench/layers.py --column change --out BENCH_<n>.json
+    python3 bench/layers.py --column change --against parent=CHECKOUT --out BENCH_<n>.json
 
-Measures the ``src/`` tree of the checkout this script sits in, so running
-the copy in another checkout measures that checkout.  The named column of
-``--out`` is replaced and the other columns are kept, which puts two builds
-side by side in one file.  The inputs are fixed (Haar states from
-``numpy.random.default_rng(7)``), so two columns time the same work.  Each
-per-call figure is the fastest of many passes spread over the whole run;
-the Monte Carlo and ``simulate`` figures are medians of whole calls that
-take turns.  Takes about 15 s.
+The first form measures the ``src/`` tree of the checkout this script sits
+in, in one pass of about 15 s.  The second measures this checkout and the
+``src/`` tree of CHECKOUT in ``PASSES`` passes each, every pass in a
+process of its own, the two trees taking turns, so a slow spell of a shared
+host falls on both columns alike; each column holds the median of its
+passes.  The named columns of ``--out`` are replaced and the other columns
+are kept.  The inputs are fixed (Haar states from
+``numpy.random.default_rng(7)``), so two columns time the same work.
+Within a pass each per-call figure is the fastest of many rounds spread
+over the whole pass; the Monte Carlo and ``simulate`` figures are medians
+of whole calls that take turns.
 """
 
 from __future__ import annotations
@@ -27,7 +31,10 @@ from pathlib import Path
 from statistics import median
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+# The tree a pass measures; a comparison sets it for the passes of the other checkout.
+SRC_ENV = "LAYERS_SRC"
+SRC = Path(os.environ.get(SRC_ENV, ROOT / "src")).resolve()
+sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
 
@@ -55,6 +62,8 @@ SIMULATE_REPEATS = 15
 CROSSOVER_BATCHES = {"8x20000": (8, 20_000), "1x1e6": (1, 1_000_000), "1x2e6": (1, 2_000_000)}
 CROSSOVER_WORKERS = (1, 2)
 CROSSOVER_REPEATS = 41
+# Passes per tree of a comparison; a pass takes about 15 s.
+PASSES = 5
 
 FIGURES = {
     "record_write_us.analytic": "cli._record on an analytic record (eta 0.9, sigma 0), us per record",
@@ -287,33 +296,84 @@ def measure() -> dict:
     return {key: round(value, 3) for key, value in figures.items()}
 
 
-def git(*args: str) -> str:
+def git(checkout: Path, *args: str) -> str:
     try:
-        done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
+        done = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True,
+                              check=True)
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
     return done.stdout.strip()
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--column", required=True, help="name of the column to write")
-    parser.add_argument("--out", default="BENCH.json", help="file to update")
-    args = parser.parse_args()
-    column = {
-        "figures": measure(),
-        "git_sha": git("rev-parse", "HEAD"),
-        "src_modified": git("status", "--porcelain", "--", "src") not in ("", "unknown"),
+def column_of(checkout: Path, figures: dict, passes: int) -> dict:
+    return {
+        "figures": figures,
+        "passes": passes,
+        "git_sha": git(checkout, "rev-parse", "HEAD"),
+        "src_modified": git(checkout, "status", "--porcelain", "--", "src") not in ("", "unknown"),
         "nproc": len(os.sched_getaffinity(0)),
         "numpy": np.__version__,
         "python": sys.version.split()[0],
     }
+
+
+def pass_of(checkout: Path) -> dict[str, float]:
+    """The figures of one pass over the ``src/`` tree of ``checkout``, in a new process."""
+    env = {**os.environ, SRC_ENV: str(checkout / "src")}
+    done = subprocess.run([sys.executable, __file__, "--one-pass"], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def compared(checkouts: dict[str, Path]) -> dict[str, dict]:
+    """Columns of ``checkouts`` from ``PASSES`` passes each, the trees taking turns.
+
+    The first tree of a round alternates, so neither column always runs
+    right after the other.
+    """
+    runs = {name: [] for name in checkouts}
+    for index in range(PASSES):
+        order = list(checkouts) if index % 2 == 0 else list(checkouts)[::-1]
+        for name in order:
+            runs[name].append(pass_of(checkouts[name]))
+            print(f"pass {index + 1}/{PASSES} {name} done", file=sys.stderr)
+    return {
+        name: column_of(checkouts[name], {
+            key: round(median(figures[key] for figures in runs[name]), 3)
+            for key in runs[name][0]
+        }, PASSES)
+        for name in checkouts
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--column", help="name of the column of this checkout")
+    parser.add_argument("--against", metavar="NAME=CHECKOUT",
+                        help="also measure CHECKOUT's src/ into column NAME, the passes "
+                             "of the two trees taking turns")
+    parser.add_argument("--out", default="BENCH.json", help="file to update")
+    # the pass of one tree, run by a comparison in a process of its own
+    parser.add_argument("--one-pass", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.one_pass:
+        print(json.dumps(measure()))
+        return
+    if args.column is None:
+        parser.error("--column is required")
+    if args.against is None:
+        columns = {args.column: column_of(ROOT, measure(), 1)}
+    else:
+        name, _, checkout = args.against.partition("=")
+        if not name or not checkout or name == args.column:
+            parser.error("--against takes NAME=CHECKOUT, NAME another column than --column")
+        columns = compared({args.column: ROOT, name: Path(checkout).resolve()})
     path = Path(args.out)
     table = json.loads(path.read_text()) if path.exists() else {}
     table["figures"] = FIGURES
-    table.setdefault("columns", {})[args.column] = column
+    table.setdefault("columns", {}).update(columns)
     path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-    print(json.dumps({args.column: column["figures"]}, indent=2))
+    print(json.dumps({name: column["figures"] for name, column in columns.items()}, indent=2))
 
 
 if __name__ == "__main__":

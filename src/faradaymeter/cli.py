@@ -13,11 +13,13 @@ Exit codes: 0 success, 2 configuration problems, 3 numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -120,27 +122,48 @@ class RunConfig:
         return ImperfectionParams(eta_a=self.eta_a, sigma=self.sigma)
 
 
+def _too_large(context: str) -> ConfigError:
+    # an integer beyond the float range, which JSON allows
+    return ConfigError(f"{context} is too large for a float")
+
+
 def _require(data: dict, key: str, kind, context: str):
     """``data[key]`` read as ``kind``; complex also takes an [re, im] pair."""
     value = data[key]
     if kind is complex:
         return _complex_from(value, f"{context}.{key}")
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise _too_large(f"{context}.{key}") from None
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"{context}.{key} has the wrong type: expected {kind.__name__}")
     return value
 
 
+# The number types a document's values come as, bool (a subclass of int) left out.
+_REALS = (int, float)
+
+
 def _complex_from(value, context: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(float(value[0]), float(value[1]))
+    try:
+        # what JSON gives for a number or an [re, im] pair, tested first
+        if type(value) is float:
+            return complex(value, 0.0)
+        if (type(value) is list and len(value) == 2
+                and type(value[0]) in _REALS and type(value[1]) in _REALS):
+            return complex(float(value[0]), float(value[1]))
+        if isinstance(value, _REALS) and not isinstance(value, bool):
+            return complex(float(value), 0.0)
+        if (
+            isinstance(value, (list, tuple))
+            and len(value) == 2
+            and all(isinstance(v, _REALS) and not isinstance(v, bool) for v in value)
+        ):
+            return complex(float(value[0]), float(value[1]))
+    except OverflowError:
+        raise _too_large(context) from None
     raise ConfigError(f"{context} must be a number or an [re, im] pair")
 
 
@@ -148,9 +171,11 @@ def _section(data, keys: dict, context: str) -> dict:
     """The values of a section that must hold exactly the keys of its table."""
     if not isinstance(data, dict):
         raise ConfigError(f"{context} must be a mapping with keys {tuple(keys)}")
-    for problem, names in (("unknown", set(data) - set(keys)), ("missing", set(keys) - set(data))):
-        if names:
-            raise ConfigError(f"{problem} key {context}.{sorted(names)[0]}")
+    if data.keys() != keys.keys():
+        for problem, names in (("unknown", set(data) - set(keys)),
+                               ("missing", set(keys) - set(data))):
+            if names:
+                raise ConfigError(f"{problem} key {context}.{sorted(names)[0]}")
     return {key: _require(data, key, kind, context) for key, kind in keys.items()}
 
 
@@ -366,22 +391,79 @@ def _write_json(value, chunks: list, newline: str = "\n") -> None:
         _write_json(base(value), chunks, newline)
 
 
-def _record(config: RunConfig, results: dict) -> str:
+def _record_tree(config: RunConfig, results: dict) -> dict:
     metadata = {"tool": "faradaymeter", "version": __version__}
     if config.mode == "simulate":
         # the counts depend on the generator and draw layout, so name them
         metadata["rng"] = RNG_ID
-    record = {
+    return {
         "schema": RECORD_SCHEMA,
         "mode": config.mode,
         "inputs": _echo_inputs(config),
         "results": results,
         "metadata": metadata,
     }
+
+
+def _written(record: dict) -> str:
     chunks: list[str] = []
     _write_json(record, chunks)
     chunks.append("\n")
     return "".join(chunks)
+
+
+def _record(config: RunConfig, results: dict) -> str:
+    if config.mode == "analytic" and config.out is None:
+        return _analytic_record(config, results)
+    return _written(_record_tree(config, results))
+
+
+# A string no record holds: the leaf of every number in the placeholder record.
+_SLOT = "\x00"
+
+
+def _slotted(value):
+    """``value`` with every float leaf replaced by ``_SLOT``."""
+    kind = type(value)
+    if kind is float:
+        return _SLOT
+    if kind is dict:
+        return {key: _slotted(item) for key, item in value.items()}
+    if kind is list:
+        return [_slotted(item) for item in value]
+    return value
+
+
+@functools.cache
+def _analytic_layout() -> tuple[str, Callable[[dict], tuple]]:
+    """The text of an analytic record without ``out``, a ``%s`` at each number.
+
+    ``_write_json`` writes it, from a placeholder record whose every number
+    is ``_SLOT``, so the JSON spelling has one source.  Its numbers come in
+    the writer's sorted order: eta_a, sigma, the [re, im] pairs of alpha,
+    beta, delta and gamma, then the results, which the returned getter
+    takes from a results dict in that order.
+    """
+    config = _config_from_mapping({"mode": "analytic",
+                                   "state": dict.fromkeys(_AMPLITUDE_KEYS, 0.5)})
+    results = _run_analytic(config)
+    text = _written(_slotted(_record_tree(config, results)))
+    return text.replace("%", "%%").replace(_encode_str(_SLOT), "%s"), itemgetter(*sorted(results))
+
+
+def _analytic_record(config: RunConfig, results: dict) -> str:
+    """``_record`` of an analytic run without ``out``: its numbers filled into one layout.
+
+    Every number is a finite float: parsing checks the state's norm,
+    0 < eta_a <= 1 and abs(sigma) < pi/2, and the results are the stage
+    weights, polynomials in them, and products, clamped ratios and square
+    roots of those.
+    """
+    layout, sorted_results = _analytic_layout()
+    alpha, beta, gamma, delta = config.state.amplitudes()
+    numbers = (config.eta_a, config.sigma, alpha.real, alpha.imag, beta.real, beta.imag,
+               delta.real, delta.imag, gamma.real, gamma.imag, *sorted_results(results))
+    return layout % tuple(map(_float_repr, numbers))
 
 
 def _run_analytic(config: RunConfig) -> dict:

@@ -48,12 +48,13 @@ def _validated_eigh(rho) -> tuple[np.ndarray, np.ndarray]:
     mat = np.asarray(rho, dtype=complex)
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise ValueError("density matrix entries must be finite")
-    if np.max(np.abs(mat - mat.conj().T)) > _HERMITIAN_TOL:
+    if np.abs(mat - mat.conj().T).max() > _HERMITIAN_TOL:
         raise ValueError("density matrix is not Hermitian to within 1e-10")
-    if abs(np.trace(mat).real - 1.0) > _TRACE_TOL or abs(np.trace(mat).imag) > _TRACE_TOL:
-        raise ValueError(f"density matrix trace is {np.trace(mat)!r}, expected 1")
+    trace = mat.trace()
+    if abs(trace.real - 1.0) > _TRACE_TOL or abs(trace.imag) > _TRACE_TOL:
+        raise ValueError(f"density matrix trace is {trace!r}, expected 1")
     evals, evecs = np.linalg.eigh(mat)
     if float(evals[0]) < _EIGVAL_FLOOR:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")

@@ -16,6 +16,8 @@ import pytest
 from faradaymeter.cli import (
     _EXIT_CODES,
     RunConfig,
+    _record_tree,
+    _run_analytic,
     SWEEP_COLUMNS,
     SweepSpec,
     main,
@@ -312,6 +314,72 @@ class TestRecords:
             assert abs(results["c_corrected"] - oracle) <= abs(results["c_estimate"] - oracle)
 
 
+def layout_states() -> list:
+    """Amplitude 4-vectors on which the analytic record layout is checked.
+
+    About 2000 Haar states, then the states whose p2 and p_total are 0.0
+    or tiny: products, states near |LR> and products nudged off separability.
+    """
+    rng = np.random.default_rng(24)
+    haar = rng.normal(size=(2000, 4)) + 1j * rng.normal(size=(2000, 4))
+    states = list(haar / np.linalg.norm(haar, axis=1, keepdims=True))
+    states.extend(np.eye(4, dtype=complex))
+    for first, second, phase in rng.uniform(0.0, 2.0 * math.pi, size=(24, 3)):
+        product = np.kron([math.cos(first), math.sin(first)],
+                          [math.cos(second), math.sin(second) * np.exp(1j * phase)])
+        states.append(product)
+        for eps in (1e-4, 1e-9, 1e-150):
+            nudged = product + eps * (rng.normal(size=4) + 1j * rng.normal(size=4))
+            states.append(nudged / np.linalg.norm(nudged))
+    for eps in (1e-3, 1e-8, 1e-12, 1e-100):
+        near_lr = np.array([eps, eps * 1j, 1.0, -eps])
+        states.append(near_lr / np.linalg.norm(near_lr))
+    return states
+
+
+# the analytic record layout is checked at each (eta_a, sigma) pair in turn
+LAYOUT_ETAS = (1.0, 0.9, 0.8, 1e-100)
+LAYOUT_SIGMAS = (0.0, 0.05, -0.7, 1.5)
+
+
+def analytic_config(amps, index: int, **fields) -> RunConfig:
+    state = {key: [float(a.real), float(a.imag)]
+             for key, a in zip(("alpha", "beta", "gamma", "delta"), amps)}
+    return parse_config(json.dumps({
+        "mode": "analytic", "state": state, "eta_a": LAYOUT_ETAS[index % 4],
+        "sigma": LAYOUT_SIGMAS[index // 4 % 4], **fields,
+    }))
+
+
+def dumped(config: RunConfig) -> str:
+    return json.dumps(_record_tree(config, _run_analytic(config)), indent=2, sort_keys=True) + "\n"
+
+
+# sigma 1.5 warns that it is outside the small-error regime
+@pytest.mark.filterwarnings("ignore:phase error sigma:UserWarning")
+class TestAnalyticLayout:
+    # analytic records are filled into one fixed layout, which must give the
+    # bytes json.dumps gives for the record dict of the same results
+    def test_layout_matches_json_dumps(self):
+        p_totals = []
+        for index, amps in enumerate(layout_states()):
+            config = analytic_config(amps, index)
+            assert capture(config) == dumped(config), index
+            p_totals.append(_run_analytic(config)["p_total"])
+        # the special states reach the zero and tiny results they are there for
+        assert 0.0 in p_totals
+        assert any(0.0 < p < 1e-12 for p in p_totals)
+
+    def test_record_with_out_is_unchanged(self, tmp_path):
+        for index, amps in enumerate(layout_states()[::100]):
+            path = tmp_path / f"record_{index}.json"
+            config = analytic_config(amps, index, out=str(path))
+            payload = capture(config)
+            assert payload == dumped(config)
+            assert json.loads(payload)["inputs"]["out"] == str(path)
+            assert path.read_text(encoding="utf-8") == payload
+
+
 class TestSweep:
     def sweep_config(self, **overrides):
         doc = {
@@ -523,6 +591,30 @@ class TestMain:
         captured = capsys.readouterr()
         key = flag[2:].replace("-", "_")
         assert f"cavity: {key} must be finite, got {float(value)!r}" in captured.err
+        assert captured.out == ""
+
+    # an integer beyond the float range used to escape as an OverflowError
+    @pytest.mark.parametrize(
+        "document, key",
+        [
+            ({"mode": "analytic", "state": BELL_STATE, "sigma": 10**400}, "config.sigma"),
+            ({"mode": "analytic", "state": {**BELL_STATE, "beta": 10**400}}, "state.beta"),
+            ({"mode": "analytic", "state": {**BELL_STATE, "gamma": [0, 10**400]}}, "state.gamma"),
+            ({"mode": "oracle", "density_matrix": [[[10**400, 0]] * 4] * 4},
+             "density_matrix entry"),
+            ({"mode": "sweep", "state": BELL_STATE, "trials": 100,
+              "sweep": {"axis": "sigma", "start": 10**400, "stop": 0.1, "steps": 2}},
+             "sweep.start"),
+            ({"mode": "phases", "cavity": {**IDEAL_CAVITY, "kappa": 10**400}}, "cavity.kappa"),
+        ],
+        ids=["sigma", "amplitude", "pair", "density-entry", "sweep-start", "cavity"],
+    )
+    def test_integer_beyond_float_range_is_a_config_error(self, document, key, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        assert main(["--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"{key} is too large for a float" in captured.err
         assert captured.out == ""
 
     def test_inconsistent_observation_exit_code(self, capsys):
