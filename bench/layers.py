@@ -4,13 +4,13 @@
     python3 bench/layers.py --column change --against parent=CHECKOUT --out BENCH_<n>.json
 
 The first form measures the ``src/`` tree of the checkout this script sits
-in, in one pass of about 15 s.  The second measures this checkout and the
-``src/`` tree of CHECKOUT in ``PASSES`` passes each, every pass in a
-process of its own, the two trees taking turns, so a slow spell of a shared
-host falls on both columns alike; each column holds the median of its
-passes.  The named columns of ``--out`` are replaced and the other columns
-are kept.  The inputs are fixed (Haar states from
-``numpy.random.default_rng(7)``), so two columns time the same work.
+in; the second also measures the ``src/`` tree of CHECKOUT.  Each tree
+gets ``PASSES`` passes of about 15 s, every pass in a process of its own,
+and two trees take turns, so a slow spell of a shared host falls on both
+columns alike; each column holds the median of its passes.  The named
+columns of ``--out`` are replaced and the other columns are kept.  The
+inputs are fixed (Haar states from ``numpy.random.default_rng(7)``), so
+two columns time the same work.
 Within a pass each per-call figure is the fastest of many rounds spread
 over the whole pass; the Monte Carlo and ``simulate`` figures are medians
 of whole calls that take turns.
@@ -31,7 +31,7 @@ from pathlib import Path
 from statistics import median
 
 ROOT = Path(__file__).resolve().parents[1]
-# The tree a pass measures; a comparison sets it for the passes of the other checkout.
+# The tree a pass measures, set for each pass's process.
 SRC_ENV = "LAYERS_SRC"
 SRC = Path(os.environ.get(SRC_ENV, ROOT / "src")).resolve()
 sys.path.insert(0, str(SRC))
@@ -305,10 +305,10 @@ def git(checkout: Path, *args: str) -> str:
     return done.stdout.strip()
 
 
-def column_of(checkout: Path, figures: dict, passes: int) -> dict:
+def column_of(checkout: Path, figures: dict) -> dict:
     return {
         "figures": figures,
-        "passes": passes,
+        "passes": PASSES,
         "git_sha": git(checkout, "rev-parse", "HEAD"),
         "src_modified": git(checkout, "status", "--porcelain", "--", "src") not in ("", "unknown"),
         "nproc": len(os.sched_getaffinity(0)),
@@ -328,8 +328,8 @@ def pass_of(checkout: Path) -> dict[str, float]:
 def compared(checkouts: dict[str, Path]) -> dict[str, dict]:
     """Columns of ``checkouts`` from ``PASSES`` passes each, the trees taking turns.
 
-    The first tree of a round alternates, so neither column always runs
-    right after the other.
+    The first tree of a round alternates, so with two trees neither column
+    always runs right after the other.
     """
     runs = {name: [] for name in checkouts}
     for index in range(PASSES):
@@ -341,7 +341,7 @@ def compared(checkouts: dict[str, Path]) -> dict[str, dict]:
         name: column_of(checkouts[name], {
             key: round(median(figures[key] for figures in runs[name]), 3)
             for key in runs[name][0]
-        }, PASSES)
+        })
         for name in checkouts
     }
 
@@ -353,7 +353,7 @@ def main() -> None:
                         help="also measure CHECKOUT's src/ into column NAME, the passes "
                              "of the two trees taking turns")
     parser.add_argument("--out", default="BENCH.json", help="file to update")
-    # the pass of one tree, run by a comparison in a process of its own
+    # the pass of one tree, run in a process of its own
     parser.add_argument("--one-pass", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.one_pass:
@@ -361,13 +361,13 @@ def main() -> None:
         return
     if args.column is None:
         parser.error("--column is required")
-    if args.against is None:
-        columns = {args.column: column_of(ROOT, measure(), 1)}
-    else:
+    checkouts = {args.column: ROOT}
+    if args.against is not None:
         name, _, checkout = args.against.partition("=")
         if not name or not checkout or name == args.column:
             parser.error("--against takes NAME=CHECKOUT, NAME another column than --column")
-        columns = compared({args.column: ROOT, name: Path(checkout).resolve()})
+        checkouts[name] = Path(checkout).resolve()
+    columns = compared(checkouts)
     path = Path(args.out)
     table = json.loads(path.read_text()) if path.exists() else {}
     table["figures"] = FIGURES

@@ -19,7 +19,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -63,6 +63,8 @@ _RENORM_TOL = 1e-3
 _AMPLITUDE_KEYS = dict.fromkeys(("alpha", "beta", "gamma", "delta"), complex)
 _CAVITY_KEYS = dict.fromkeys(("omega_c", "omega_p", "omega_0", "kappa", "gamma", "coupling"), float)
 _SWEEP_KEYS = {"axis": str, "start": float, "stop": float, "steps": int}
+# A sweep builds all its points and CSV rows at once.
+_MAX_SWEEP_STEPS = 10**6
 
 # Top-level scalars: type and default.  Their ranges belong to the types
 # that run them, ImperfectionParams and TrialConfig.
@@ -86,6 +88,8 @@ class SweepSpec:
             raise ConfigError(f"sweep.axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         if self.steps < 2:
             raise ConfigError(f"sweep.steps must be at least 2, got {self.steps!r}")
+        if self.steps > _MAX_SWEEP_STEPS:
+            raise ConfigError(f"sweep.steps must be at most {_MAX_SWEEP_STEPS}, got {self.steps!r}")
         for key in ("start", "stop"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"sweep.{key} must be finite, got {getattr(self, key)!r}")
@@ -142,25 +146,17 @@ def _require(data: dict, key: str, kind, context: str):
     return value
 
 
-# The number types a document's values come as, bool (a subclass of int) left out.
+# The number types a document's values come as; bool, a subclass of int, is not one.
 _REALS = (int, float)
 
 
 def _complex_from(value, context: str) -> complex:
+    # values come from json.loads or from float flags, so exact types suffice
     try:
-        # what JSON gives for a number or an [re, im] pair, tested first
-        if type(value) is float:
-            return complex(value, 0.0)
-        if (type(value) is list and len(value) == 2
-                and type(value[0]) in _REALS and type(value[1]) in _REALS):
-            return complex(float(value[0]), float(value[1]))
-        if isinstance(value, _REALS) and not isinstance(value, bool):
+        if type(value) in _REALS:
             return complex(float(value), 0.0)
-        if (
-            isinstance(value, (list, tuple))
-            and len(value) == 2
-            and all(isinstance(v, _REALS) and not isinstance(v, bool) for v in value)
-        ):
+        if (type(value) in (list, tuple) and len(value) == 2
+                and type(value[0]) in _REALS and type(value[1]) in _REALS):
             return complex(float(value[0]), float(value[1]))
     except OverflowError:
         raise _too_large(context) from None
@@ -435,20 +431,31 @@ def _slotted(value):
 
 
 @functools.cache
-def _analytic_layout() -> tuple[str, Callable[[dict], tuple]]:
+def _analytic_layout() -> tuple[str, Callable[[RunConfig, dict], tuple]]:
     """The text of an analytic record without ``out``, a ``%s`` at each number.
 
     ``_write_json`` writes it, from a placeholder record whose every number
-    is ``_SLOT``, so the JSON spelling has one source.  Its numbers come in
-    the writer's sorted order: eta_a, sigma, the [re, im] pairs of alpha,
-    beta, delta and gamma, then the results, which the returned getter
-    takes from a results dict in that order.
+    is ``_SLOT``, so the JSON spelling has one source.  The returned getter
+    gives a run's numbers in the writer's order, which sorts every key:
+    the scalar inputs, the [re, im] pairs of the state, whose key sorts
+    after theirs, then the results.
     """
     config = _config_from_mapping({"mode": "analytic",
                                    "state": dict.fromkeys(_AMPLITUDE_KEYS, 0.5)})
     results = _run_analytic(config)
-    text = _written(_slotted(_record_tree(config, results)))
-    return text.replace("%", "%%").replace(_encode_str(_SLOT), "%s"), itemgetter(*sorted(results))
+    record = _record_tree(config, results)
+    text = _written(_slotted(record))
+    scalars_of = attrgetter(*sorted(key for key in record["inputs"] if key in _SCALARS))
+    names = tuple(_AMPLITUDE_KEYS)
+    amplitudes_of = itemgetter(*(names.index(name) for name in sorted(names)))
+    results_of = itemgetter(*sorted(results))
+
+    def numbers(config: RunConfig, results: dict) -> tuple:
+        a, b, c, d = amplitudes_of(config.state.amplitudes())
+        return (*scalars_of(config), a.real, a.imag, b.real, b.imag, c.real, c.imag,
+                d.real, d.imag, *results_of(results))
+
+    return text.replace("%", "%%").replace(_encode_str(_SLOT), "%s"), numbers
 
 
 def _analytic_record(config: RunConfig, results: dict) -> str:
@@ -459,11 +466,8 @@ def _analytic_record(config: RunConfig, results: dict) -> str:
     weights, polynomials in them, and products, clamped ratios and square
     roots of those.
     """
-    layout, sorted_results = _analytic_layout()
-    alpha, beta, gamma, delta = config.state.amplitudes()
-    numbers = (config.eta_a, config.sigma, alpha.real, alpha.imag, beta.real, beta.imag,
-               delta.real, delta.imag, gamma.real, gamma.imag, *sorted_results(results))
-    return layout % tuple(map(_float_repr, numbers))
+    layout, numbers = _analytic_layout()
+    return layout % tuple(map(_float_repr, numbers(config, results)))
 
 
 def _run_analytic(config: RunConfig) -> dict:

@@ -617,6 +617,19 @@ class TestMain:
         assert f"{key} is too large for a float" in captured.err
         assert captured.out == ""
 
+    # a sweep builds all its points at once; 10**400 steps used to escape as an OverflowError
+    @pytest.mark.parametrize("steps", [10**6 + 1, 10**400], ids=["above-cap", "beyond-float"])
+    def test_oversized_sweep_steps_is_a_config_error(self, steps, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "mode": "sweep", "state": BELL_STATE, "trials": 100,
+            "sweep": {"axis": "sigma", "start": 0.0, "stop": 0.1, "steps": steps},
+        }))
+        assert main(["--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"sweep.steps must be at most 1000000, got {steps!r}" in captured.err
+        assert captured.out == ""
+
     def test_inconsistent_observation_exit_code(self, capsys):
         # low efficiency pushes the observed stage-1 value below the leak
         # floor sin(sigma)^2; the record reads no leak model, so the run succeeds
