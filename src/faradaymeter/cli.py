@@ -146,7 +146,7 @@ def _require(data: dict, key: str, kind, context: str):
     return value
 
 
-# The number types a document's values come as; bool, a subclass of int, is not one.
+# The number types a document's values come as, bool (a subclass of int) left out.
 _REALS = (int, float)
 
 
