@@ -28,10 +28,8 @@ from .errors import (
 from .estimator import (
     EstimateReport,
     TrialConfig,
-    TrialOutcome,
     estimate,
     estimate_all,
-    trial_stream,
     wilson_interval,
 )
 from .faraday import (
@@ -78,10 +76,8 @@ __all__ = [
     "SingularParametersError",
     "EstimateReport",
     "TrialConfig",
-    "TrialOutcome",
     "estimate",
     "estimate_all",
-    "trial_stream",
     "wilson_interval",
     "CavityParams",
     "FaradayPhases",

@@ -9,8 +9,8 @@ detector click per atom).  Trial ``i`` reads one uniform ``u_i``, the
 passes stage 2 when ``u_i < q2`` and stage 1 when ``u_i < q1``.  Every
 trial owns a fixed draw of the stream, and the stream jumps ahead to draw
 ``i`` in O(log i) steps (``advance``), so the estimate is a pure function of
-the configuration: trials can be replayed individually, batched or split
-across workers without changing a single outcome.
+the configuration: trials can be batched or split across workers without
+changing a single outcome.
 
 ``estimate_all`` runs a batch of configurations, such as the points of a
 sweep, on the calling thread and up to ``_MAX_WORKERS - 1`` helper threads
@@ -22,9 +22,9 @@ such as 8 of 20000 trials, counts on the calling thread and starts no
 thread.  The helpers belong to one pool per process, started by the first
 batch that splits and kept for the next; a forked child starts its own.
 Each run is cut into contiguous trial spans, a long run into more spans
-than a short one, and the workers take spans off one shared list until it
-is empty.  The caller never waits for a helper that has not started, so
-a helper that wakes late costs nothing.
+than a short one, and the workers take spans off one shared iterator until
+it is empty.  The caller then cancels every helper that has not started,
+so a helper that wakes late costs nothing.
 A span is the stream advanced to draw ``lo`` and read on into a small
 buffer the worker reuses; per buffer, one compare against ``q1`` and one
 against ``q2`` give its two counts.
@@ -37,7 +37,6 @@ import os
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,11 +62,6 @@ _MAX_WORKERS = 4
 # The helpers that count spans beside the calling thread; see _helpers.
 _pool = None
 _pool_lock = threading.Lock()
-
-
-class TrialOutcome(NamedTuple):
-    stage1_pass: bool
-    stage2_pass: bool
 
 
 @dataclass(frozen=True)
@@ -139,8 +133,9 @@ class TrialSampler:
     All trials start from the same prepared state, so the three
     conditional Born probabilities (each given that the earlier readouts
     returned |+>) are computed once up front by
-    :func:`~faradaymeter.protocol.stage_probabilities`; sampling a trial
-    then costs one uniform draw and two comparisons.
+    :func:`~faradaymeter.protocol.stage_probabilities`, and
+    :meth:`thresholds` turns them into the two bounds a trial's uniform is
+    compared against.
     """
 
     def __init__(self, state: TwoPhotonState, phases: FaradayPhases) -> None:
@@ -151,12 +146,6 @@ class TrialSampler:
         q1 = self.p_plus1 * eta_a * self.p_plus2 * eta_a
         return q1, q1 * self.p_plus3 * eta_a
 
-    def sample(self, rng, eta_a: float) -> TrialOutcome:
-        """Play one trial on the next uniform draw of ``rng``."""
-        q1, q2 = self.thresholds(eta_a)
-        u = rng.random()
-        return TrialOutcome(u < q1, u < q2)
-
 
 def _stream_at(master_seed: int, draw: int) -> np.random.Generator:
     """``PCG64DXSM(master_seed)`` advanced to its ``draw``-th double."""
@@ -164,21 +153,6 @@ def _stream_at(master_seed: int, draw: int) -> np.random.Generator:
     bits = np.random.PCG64DXSM(master_seed)
     bits.advance(draw)
     return np.random.Generator(bits)
-
-
-def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
-    """The generator whose next draw is trial ``trial_index``'s uniform.
-
-    That is the ``trial_index``-th double of ``PCG64DXSM(master_seed)``,
-    reached by jumping ahead rather than by drawing the doubles before it.
-    """
-    # type(), not isinstance(): a bool would pass as 0 or 1, and a float
-    # such as 2.5 names no draw
-    if type(master_seed) is not int or not 0 <= master_seed < _MAX_SEED:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {master_seed!r}")
-    if type(trial_index) is not int or trial_index < 0:
-        raise ValueError(f"trial_index must be a non-negative integer, got {trial_index!r}")
-    return _stream_at(master_seed, trial_index)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -262,47 +236,31 @@ def _count_tasks(tasks: list[tuple], workers: int) -> list[tuple[int, tuple[int,
 
     A task is ``(run index, seed, (q1, q2), lo, hi)``.  The calling thread
     and ``workers - 1`` helpers sent to the process's pool each take the
-    next task off the one shared list until it is empty.  Once it is, the
-    caller waits only for the spans already taken: a helper that starts
-    later finds nothing left and is never waited for.  If a span raises,
-    no worker takes another and the caller raises the first error.
+    next task off one shared iterator until it is empty.  The caller then
+    cancels the helpers that have not started and waits only for the
+    others, so it never waits for a helper that wakes late.  A span's error
+    reaches the caller, from its own span or through a helper's future.
     """
     pending = iter(tasks)
+    taking = threading.Lock()
     counted = []
-    errors = []
-    in_flight = 0
-    done = threading.Condition()
 
-    # work never raises, so no helper's future needs reading: a span's error
-    # is kept in errors, stops the other workers and is raised by the caller
     def work() -> None:
-        nonlocal in_flight
         while True:
-            with done:
-                task = None if errors else next(pending, None)
-                if task is None:
-                    return
-                in_flight += 1
+            with taking:
+                task = next(pending, None)
+            if task is None:
+                return
             index, seed, thresholds, lo, hi = task
-            try:
-                counted.append((index, _count_span(seed, thresholds, lo, hi)))
-            except BaseException as exc:
-                errors.append(exc)
-            finally:
-                with done:
-                    in_flight -= 1
-                    if not in_flight:
-                        done.notify_all()
+            counted.append((index, _count_span(seed, thresholds, lo, hi)))
 
-    if workers > 1:
-        pool = _helpers()
-        for _ in range(workers - 1):
-            pool.submit(work)
-    work()
-    with done:
-        done.wait_for(lambda: not in_flight)
-    if errors:
-        raise errors[0]
+    helpers = [_helpers().submit(work) for _ in range(workers - 1)]
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            if not helper.cancel():
+                helper.result()
     return counted
 
 

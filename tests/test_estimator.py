@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import Future
 from pathlib import Path
 from statistics import NormalDist
 
@@ -20,7 +21,6 @@ from faradaymeter.estimator import (
     TrialSampler,
     estimate,
     estimate_all,
-    trial_stream,
     wilson_interval,
 )
 from faradaymeter.faraday import ideal_phases, perturbed_phases
@@ -36,6 +36,13 @@ SKEWED_IMPERFECTIONS = ImperfectionParams(eta_a=0.8, sigma=0.1)
 # long enough to split across three workers, spans several buffers, and is
 # a multiple of neither
 SPLIT_TRIALS = 3 * estimator._MIN_SPAN + 977
+
+
+def replay(sampler, seed, i, eta_a):
+    """Trial ``i``'s (stage-1, stage-2) outcome, read off its own uniform."""
+    q1, q2 = sampler.thresholds(eta_a)
+    u = estimator._stream_at(seed, i).random()
+    return u < q1, u < q2
 
 
 def bell_config(n, seed, imperfections=IDEAL, sigma=0.0):
@@ -232,7 +239,7 @@ class TestTrialLaw:
         assert sampler.thresholds(1.0)[0] == sampler.p_plus1
         sampler.p_plus1 = sampler.p_plus3 = 1.0
         assert sampler.thresholds(1.0) == (1.0, 1.0)
-        assert all(sampler.sample(trial_stream(3, i), 1.0) == (True, True) for i in range(64))
+        assert all(replay(sampler, 3, i, 1.0) == (True, True) for i in range(64))
         assert estimator._count_span(3, sampler.thresholds(1.0), 5, 20_000) == (19_995, 19_995)
         # below eta 1 the same readouts fail on detection alone
         assert sampler.thresholds(0.5) == (0.25, 0.125)
@@ -242,17 +249,17 @@ class TestRunTrial:
     def test_product_state_never_selected(self):
         state = TwoPhotonState(0, 1, 0, 0)
         for i in range(50):
-            outcome = TrialSampler(state, ideal_phases()).sample(trial_stream(5, i), IDEAL.eta_a)
-            assert not outcome.stage1_pass
+            stage1, _ = replay(TrialSampler(state, ideal_phases()), 5, i, IDEAL.eta_a)
+            assert not stage1
 
     def test_stage2_implies_stage1(self):
         for i in range(200):
-            outcome = TrialSampler(BELL, ideal_phases()).sample(trial_stream(11, i), IDEAL.eta_a)
-            assert outcome.stage1_pass or not outcome.stage2_pass
+            stage1, stage2 = replay(TrialSampler(BELL, ideal_phases()), 11, i, IDEAL.eta_a)
+            assert stage1 or not stage2
 
     def test_deterministic_per_stream(self):
-        first = TrialSampler(BELL, ideal_phases()).sample(trial_stream(17, 42), IDEAL.eta_a)
-        second = TrialSampler(BELL, ideal_phases()).sample(trial_stream(17, 42), IDEAL.eta_a)
+        first = replay(TrialSampler(BELL, ideal_phases()), 17, 42, IDEAL.eta_a)
+        second = replay(TrialSampler(BELL, ideal_phases()), 17, 42, IDEAL.eta_a)
         assert first == second
 
 
@@ -270,17 +277,17 @@ class TestEstimate:
         assert estimate(bell_config(5000, 21)) != estimate(bell_config(5000, 22))
 
     def test_totals_match_per_trial_replay(self):
-        # the vectorized path must reproduce the lazy per-trial path exactly
+        # the vectorized path must reproduce a per-trial replay exactly
         n = 300
         params = ImperfectionParams(eta_a=0.8, sigma=0.1)
         config = bell_config(n, 55, params, sigma=0.1)
         outcomes = [
-            TrialSampler(BELL, perturbed_phases(0.1)).sample(trial_stream(55, i), params.eta_a)
+            replay(TrialSampler(BELL, perturbed_phases(0.1)), 55, i, params.eta_a)
             for i in range(n)
         ]
         report = estimate(config)
-        assert report.stage1_successes == sum(o.stage1_pass for o in outcomes)
-        assert report.stage2_successes == sum(o.stage2_pass for o in outcomes)
+        assert report.stage1_successes == sum(stage1 for stage1, _ in outcomes)
+        assert report.stage2_successes == sum(stage2 for _, stage2 in outcomes)
 
     def test_count_accounting(self):
         report = estimate(bell_config(20_000, 3))
@@ -327,7 +334,7 @@ class TestEstimate:
         seed = 303
         words = np.random.PCG64DXSM(seed).random_raw(4098)
         for i in (0, 1, 2, 3, 4, 7, 4097):
-            assert trial_stream(seed, i).random() == (int(words[i]) >> 11) * 2.0**-53
+            assert estimator._stream_at(seed, i).random() == (int(words[i]) >> 11) * 2.0**-53
 
     def test_jumps_compose(self):
         # advancing by a then by b lands where advancing by a + b does
@@ -336,12 +343,12 @@ class TestEstimate:
             bits = np.random.PCG64DXSM(seed)
             bits.advance(a)
             bits.advance(i - a)
-            assert np.random.Generator(bits).random() == trial_stream(seed, i).random()
+            assert np.random.Generator(bits).random() == estimator._stream_at(seed, i).random()
 
     def test_extreme_seeds_are_accepted(self):
         for seed in (0, 2**64 - 1):
             word = int(np.random.PCG64DXSM(seed).random_raw(2)[1])
-            assert trial_stream(seed, 1).random() == (word >> 11) * 2.0**-53
+            assert estimator._stream_at(seed, 1).random() == (word >> 11) * 2.0**-53
 
 
 def skewed_config(n, seed):
@@ -386,12 +393,10 @@ class TestSpanSplit:
         eta = SKEWED_IMPERFECTIONS.eta_a
         thresholds = sampler.thresholds(eta)
         for lo in starts:
-            outcomes = [
-                sampler.sample(trial_stream(seed, i), eta) for i in range(lo, lo + 100)
-            ]
+            outcomes = [replay(sampler, seed, i, eta) for i in range(lo, lo + 100)]
             expected = (
-                sum(o.stage1_pass for o in outcomes),
-                sum(o.stage2_pass for o in outcomes),
+                sum(stage1 for stage1, _ in outcomes),
+                sum(stage2 for _, stage2 in outcomes),
             )
             assert estimator._count_span(seed, thresholds, lo, lo + 100) == expected
 
@@ -545,7 +550,7 @@ class TestBatch:
     def test_the_caller_counts_every_span_when_no_helper_runs(self, span_log, monkeypatch):
         class Idle:
             def submit(self, work):
-                pass  # the work is dropped, as if no helper ever woke
+                return Future()  # the work is dropped, as if no helper ever woke
 
         monkeypatch.setattr(estimator, "_pool", Idle())
         # 2 _MIN_SPAN trials in all, so the batch asks for a helper
@@ -553,6 +558,37 @@ class TestBatch:
         reports = estimate_all(configs)
         assert len(span_log) == 8
         assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
+
+    def test_the_caller_never_waits_for_a_queued_helper(self, span_log, monkeypatch):
+        # every pool thread is held, so the helpers a split run asks for stay
+        # queued; the caller must count every span and return without them
+        monkeypatch.setattr(estimator, "_available_cpus", lambda: estimator._MAX_WORKERS)
+        holders = estimator._MAX_WORKERS - 1
+        all_held = threading.Barrier(holders + 1)
+        release = threading.Event()
+
+        def hold():
+            all_held.wait(timeout=30)
+            release.wait(timeout=60)
+
+        config = skewed_config(SPLIT_TRIALS, 67)
+        reports = []
+        caller = threading.Thread(
+            target=lambda: reports.append(estimate(config)), name="queued-helpers-caller"
+        )
+        held = [estimator._helpers().submit(hold) for _ in range(holders)]
+        try:
+            all_held.wait(timeout=30)
+            caller.start()
+            caller.join(timeout=30)
+            assert not caller.is_alive()
+        finally:
+            release.set()
+            for future in held:
+                future.result(timeout=60)
+        assert len(span_log) == 3
+        assert {counter for *_, counter, _ in span_log} == {caller.name}
+        assert passes(reports[0]) == serial_counts(config)
 
     def test_an_error_on_a_helper_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(estimator, "_available_cpus", lambda: 2)
@@ -700,25 +736,4 @@ class TestTrialStream:
         seed = 77
         sequential = np.random.Generator(np.random.PCG64DXSM(seed)).random(13)
         for i in range(13):
-            assert trial_stream(seed, i).random() == sequential[i]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            trial_stream(-1, 0)
-        with pytest.raises(ValueError):
-            trial_stream(0, -1)
-
-    def test_bool_seed_is_rejected(self):
-        with pytest.raises(ValueError, match="seed"):
-            trial_stream(True, 0)
-
-    def test_non_integer_seed_and_index_are_rejected(self):
-        # a float index names no draw, and 5.0 would pass as seed 5
-        with pytest.raises(ValueError, match="trial_index"):
-            trial_stream(1, 2.5)
-        with pytest.raises(ValueError, match="trial_index"):
-            trial_stream(1, 4.0)
-        with pytest.raises(ValueError, match="trial_index"):
-            trial_stream(1, True)
-        with pytest.raises(ValueError, match="seed"):
-            trial_stream(5.0, 0)
+            assert estimator._stream_at(seed, i).random() == sequential[i]
