@@ -62,6 +62,8 @@ class TestConfigValidation:
             bell_config(10, -1)
         with pytest.raises(ValueError):
             bell_config(10, 2**64)
+        with pytest.raises(ValueError, match="seed"):
+            bell_config(10, 5.0)  # a float would pass as seed 5
 
     def test_bool_trials_and_seed_are_rejected(self):
         # bool is an int subclass, so True and False would pass as 1 and 0
