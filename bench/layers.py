@@ -57,11 +57,6 @@ SIMULATE_TRIALS = {"1e6": 1_000_000, "1e7": 10_000_000}
 # The fastest of 5 queries moved 1.7x with no estimator change; the median
 # of 15 alternating queries holds steadier.
 SIMULATE_REPEATS = 15
-# A batch of sweep-dense points and two runs long enough to split: (runs,
-# trials per run).  Each is timed at each worker count, the calls taking turns.
-CROSSOVER_BATCHES = {"8x20000": (8, 20_000), "1x1e6": (1, 1_000_000), "1x2e6": (1, 2_000_000)}
-CROSSOVER_WORKERS = (1, 2)
-CROSSOVER_REPEATS = 41
 # Passes per tree of a comparison; a pass takes about 15 s.
 PASSES = 5
 
@@ -91,13 +86,6 @@ FIGURES = {
                                       f"({trials} trials, eta 0.9, sigma 0.05), median ms of "
                                       f"{SIMULATE_REPEATS} queries taking turns with the other size"
         for label, trials in SIMULATE_TRIALS.items()
-    },
-    **{
-        f"helper_crossover_us.{label}.{workers}_worker": f"estimator.estimate_all of {runs} "
-        f"run(s) of {trials} trials (eta 0.9, sigma 0.05) on exactly {workers} worker(s) "
-        f"whatever the batch size, median us of {CROSSOVER_REPEATS} calls taking turns"
-        for label, (runs, trials) in CROSSOVER_BATCHES.items()
-        for workers in CROSSOVER_WORKERS
     },
 }
 
@@ -225,42 +213,6 @@ def estimate_figures(amps: np.ndarray) -> dict[str, float]:
     }
 
 
-def crossover_figures(amps: np.ndarray) -> dict[str, float]:
-    """``estimate_all`` of a short and a long batch at one and at two workers.
-
-    Offering ``workers`` CPUs with no trial minimum per worker makes the
-    batch run on exactly that many, so these figures show where waking a
-    helper starts to pay, whatever threshold the tree under test uses.
-    """
-    state = TwoPhotonState(*amps.tolist())
-    batches = {
-        label: [
-            TrialConfig(n_trials=trials, master_seed=index, state=state,
-                        phases=perturbed_phases(0.05),
-                        imperfections=ImperfectionParams(eta_a=0.9, sigma=0.05))
-            for index in range(runs)
-        ]
-        for label, (runs, trials) in CROSSOVER_BATCHES.items()
-    }
-
-    def on_workers(configs: list, workers: int) -> None:
-        estimator._available_cpus = lambda: workers
-        estimator.estimate_all(configs)
-
-    calls = {
-        f"helper_crossover_us.{label}.{workers}_worker": partial(on_workers, configs, workers)
-        for label, configs in batches.items()
-        for workers in CROSSOVER_WORKERS
-    }
-    saved = estimator._available_cpus, estimator._MIN_SPAN
-    estimator._MIN_SPAN = 1
-    try:
-        seconds = timed_rounds(calls, CROSSOVER_REPEATS)
-    finally:
-        estimator._available_cpus, estimator._MIN_SPAN = saved
-    return {name: median(values) * 1e6 for name, values in seconds.items()}
-
-
 def measure() -> dict:
     states = haar_states(STATES)
     docs = documents(states)
@@ -283,7 +235,6 @@ def measure() -> dict:
     )
     figures = fastest_us(tasks)
     figures.update(estimate_figures(states[0]))
-    figures.update(crossover_figures(states[0]))
     simulate = {
         f"simulate_query_ms.{label}": partial(query, json.dumps({
             "mode": "simulate", "state": state_section(states[0]), "trials": trials, "seed": 1,

@@ -44,7 +44,6 @@ from .faraday import (
 )
 from .imperfect import (
     ImperfectionParams,
-    degraded_parity_probability,
     invert_parity_probability,
     leak_probability,
     model_deviation,
@@ -88,7 +87,6 @@ __all__ = [
     "phases_from_params",
     "reflection_coefficient",
     "ImperfectionParams",
-    "degraded_parity_probability",
     "invert_parity_probability",
     "leak_probability",
     "model_deviation",

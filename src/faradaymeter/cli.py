@@ -121,10 +121,6 @@ class RunConfig:
     sweep: SweepSpec | None
     out: str | None
 
-    @property
-    def imperfections(self) -> ImperfectionParams:
-        return ImperfectionParams(eta_a=self.eta_a, sigma=self.sigma)
-
 
 def _too_large(context: str) -> ConfigError:
     # an integer beyond the float range, which JSON allows
@@ -284,7 +280,7 @@ def _check_ranges(config: RunConfig) -> None:
         elif "trials" in reads:
             _trial_config(config)
         elif "eta_a" in reads:
-            config.imperfections
+            ImperfectionParams(eta_a=config.eta_a, sigma=config.sigma)
     except ValueError as exc:
         raise ConfigError(f"{context}{exc}") from None
 
@@ -596,10 +592,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Concurrence measurement via cavity-assisted parity checks: "
         "exact protocol evaluation, Monte Carlo estimation and reference oracles.",
     )
-    parser.add_argument("mode_positional", nargs="?", choices=MODES, metavar="mode",
+    parser.add_argument("mode", nargs="?", choices=MODES, metavar="mode",
                         help="one of: " + ", ".join(MODES))
     parser.add_argument("--config", metavar="PATH", help="JSON config document")
-    parser.add_argument("--mode", choices=MODES, help="overrides the config mode")
     parser.add_argument("--trials", type=int, metavar="N")
     parser.add_argument("--seed", type=int, metavar="S")
     parser.add_argument("--eta", dest="eta_a", type=float, metavar="X",
@@ -625,9 +620,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _merge_flags(data: dict, args: argparse.Namespace) -> dict:
     merged = dict(data)
-    mode = args.mode_positional or args.mode
-    if mode is not None:
-        merged["mode"] = mode
+    if args.mode is not None:
+        merged["mode"] = args.mode
     for key in (*_SCALARS, "out"):
         if getattr(args, key) is not None:
             merged[key] = getattr(args, key)

@@ -66,7 +66,7 @@ def leak_probability(sigma: float) -> float:
     return math.sin(sigma) ** 2
 
 
-def degraded_parity_probability(p: float, sigma: float) -> float:
+def _degraded_parity_probability(p: float, sigma: float) -> float:
     """Ideal stage probability ``p`` observed under a phase error ``sigma``."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p!r} outside [0, 1]")
@@ -109,7 +109,7 @@ def recover_concurrence(p1_observed: float, p2_observed: float, params: Imperfec
 
 def model_observed_probabilities(p1: float, p2: float, sigma: float) -> tuple[float, float]:
     """Forward model: ideal stage probabilities as seen under a phase error."""
-    return degraded_parity_probability(p1, sigma), degraded_parity_probability(p2, sigma)
+    return _degraded_parity_probability(p1, sigma), _degraded_parity_probability(p2, sigma)
 
 
 def model_deviation(state: TwoPhotonState, sigma: float) -> float:

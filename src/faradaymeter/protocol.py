@@ -16,8 +16,10 @@ reach the readouts, as the plates send the even and odd parts of each b
 column to output pairs that atom 3 weighs equally, so
 :func:`stage_probabilities` is three closed-form weights and ``p_total =
 C^2/4 + e X2 + e^2 X4 + e^3 X6``.  :func:`parity_check` is the one step of
-the seven-qubit reference in :mod:`faradaymeter.qstate` defined here; it
-imports that module only when called, so production never loads it.
+the seven-qubit reference defined here; the reference's register, its
+states and the quarter-wave plate live in ``tests/seven_qubit_reference.py``.
+It runs on :mod:`faradaymeter.qstate`, which it imports only when called,
+so production never loads that module.
 """
 
 from __future__ import annotations
@@ -37,9 +39,6 @@ EMPTY_BRANCH_CUTOFF = 1e-15
 
 # Atom readout basis.
 ATOM_PLUS = np.array([_SQRT_HALF, _SQRT_HALF], dtype=complex)
-
-# Quarter-wave plate: R -> (R + L)/sqrt2, L -> (R - L)/sqrt2.
-QWP_HADAMARD = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex)
 
 _NORM_TOL = 1e-10
 # Forgive only rounding-level excess when converting p_total to a concurrence.

@@ -559,6 +559,18 @@ class TestMain:
         record = json.loads(capsys.readouterr().out)
         assert record["mode"] == "analytic"
 
+    # a mode given two ways on the command line would let one silently
+    # override the other, so the positional is the only way
+    @pytest.mark.parametrize("argv", [["analytic", "--mode", "oracle"], ["--mode", "analytic"]],
+                             ids=["with-positional", "alone"])
+    def test_mode_flag_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--state", "1", "0", "0", "0", "0", "0", "0", "0"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--mode" in captured.err
+
     def test_missing_config_file(self, capsys):
         assert main(["analytic", "--config", "/nonexistent.json"]) == 2
         assert "error:" in capsys.readouterr().err

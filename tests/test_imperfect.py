@@ -10,7 +10,7 @@ from faradaymeter.errors import InconsistentObservationError, NonInvertibleError
 from faradaymeter.faraday import ideal_phases, perturbed_phases
 from faradaymeter.imperfect import (
     ImperfectionParams,
-    degraded_parity_probability,
+    _degraded_parity_probability,
     invert_parity_probability,
     leak_probability,
     model_deviation,
@@ -85,14 +85,14 @@ class TestLeak:
 
 class TestDegradeInvert:
     def test_degrade_examples(self):
-        assert degraded_parity_probability(0.3, 0.0) == 0.3
-        assert degraded_parity_probability(0.0, math.pi / 4) == pytest.approx(0.5)
-        assert degraded_parity_probability(1.0, 0.7) == 1.0
+        assert _degraded_parity_probability(0.3, 0.0) == 0.3
+        assert _degraded_parity_probability(0.0, math.pi / 4) == pytest.approx(0.5)
+        assert _degraded_parity_probability(1.0, 0.7) == 1.0
 
     def test_degrade_monotone_in_p(self):
         sigma = 0.4
         grid = np.linspace(0.0, 1.0, 21)
-        values = [degraded_parity_probability(p, sigma) for p in grid]
+        values = [_degraded_parity_probability(p, sigma) for p in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_invert_examples(self):
@@ -104,7 +104,7 @@ class TestDegradeInvert:
         for _ in range(200):
             p = rng.uniform(0.0, 1.0)
             sigma = rng.uniform(-1.0, 1.0)
-            degraded = degraded_parity_probability(p, sigma)
+            degraded = _degraded_parity_probability(p, sigma)
             assert invert_parity_probability(degraded, sigma) == pytest.approx(p, abs=1e-12)
 
     def test_total_leak_not_invertible(self):
@@ -179,11 +179,11 @@ class TestModelAgainstSimulation:
         for state in (BELL, TwoPhotonState(0.8, 0, 0, 0.6)):
             ideal = run_analytic(state, ideal_phases())
             exact = run_analytic(state, perturbed_phases(sigma))
-            twice = degraded_parity_probability(
-                degraded_parity_probability(ideal.p1, sigma), sigma
+            twice = _degraded_parity_probability(
+                _degraded_parity_probability(ideal.p1, sigma), sigma
             )
             double = max(
                 abs(exact.p1 - twice),
-                abs(exact.p2 - degraded_parity_probability(ideal.p2, sigma)),
+                abs(exact.p2 - _degraded_parity_probability(ideal.p2, sigma)),
             )
             assert model_deviation(state, sigma) < double

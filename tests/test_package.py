@@ -1,6 +1,7 @@
-"""Tests for the names the package re-exports."""
+"""Tests for the names the package re-exports, and for those it no longer ships."""
 
 import faradaymeter
+from faradaymeter import protocol, qstate
 
 
 def test_star_import_binds_only_the_re_exports():
@@ -21,3 +22,14 @@ def test_every_public_re_export_is_listed():
     }
     assert public == set(faradaymeter.__all__)
     assert len(faradaymeter.__all__) == len(set(faradaymeter.__all__))
+
+
+def test_the_seven_qubit_reference_ships_only_in_the_tests():
+    # its register, states, plate and reference-only helpers live in
+    # tests/seven_qubit_reference.py
+    moved = {"PHOTON_LABELS", "ATOM_LABELS", "FULL_REGISTER", "_SQRT_HALF", "_pair_state",
+             "prepare_joint", "target_final_state", "reorder", "apply_single_qubit",
+             "basis_amplitude"}
+    assert moved.isdisjoint(vars(qstate))
+    assert not hasattr(protocol, "QWP_HADAMARD")
+    assert not hasattr(faradaymeter, "degraded_parity_probability")

@@ -4,13 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from seven_qubit_reference import reference_run
+from seven_qubit_reference import (
+    FULL_REGISTER,
+    QWP_HADAMARD,
+    basis_amplitude,
+    prepare_joint,
+    reference_run,
+    target_final_state,
+)
 
 from faradaymeter.faraday import ideal_phases, perturbed_phases
 from faradaymeter.oracle import concurrence_pure
 from faradaymeter.protocol import (
     ATOM_PLUS,
-    QWP_HADAMARD,
     TwoPhotonState,
     closed_form_outcome,
     parity_check,
@@ -18,12 +24,8 @@ from faradaymeter.protocol import (
     stage_probabilities,
 )
 from faradaymeter.qstate import (
-    FULL_REGISTER,
-    basis_amplitude,
     from_amplitudes,
-    prepare_joint,
     project_qubit,
-    target_final_state,
     tensor_product,
     qubit_state,
 )

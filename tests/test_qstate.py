@@ -1,23 +1,20 @@
-"""Tests for the labeled state-vector engine."""
+"""Tests for the labeled state-vector engine and the reference's helpers on it."""
 
 import math
 
 import numpy as np
 import pytest
+from seven_qubit_reference import FULL_REGISTER, apply_single_qubit, basis_amplitude, reorder
 
 from faradaymeter.errors import LabelCollisionError, LabelError, NonUnitaryError
 from faradaymeter.qstate import (
     EMPTY_BRANCH_CUTOFF,
-    FULL_REGISTER,
     StateVector,
     apply_diagonal_phase,
-    apply_single_qubit,
-    basis_amplitude,
     empty_branch,
     from_amplitudes,
     project_qubit,
     qubit_state,
-    reorder,
     tensor_product,
 )
 
