@@ -13,7 +13,8 @@ inputs are fixed (Haar states from ``numpy.random.default_rng(7)``), so
 two columns time the same work.
 Within a pass each per-call figure is the fastest of many rounds spread
 over the whole pass; the Monte Carlo and ``simulate`` figures are medians
-of whole calls that take turns.
+of whole calls that take turns, and the exact query figures medians of
+single queries.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from faradaymeter import estimator  # noqa: E402
 from faradaymeter.estimator import TrialConfig, TrialSampler, estimate  # noqa: E402
 from faradaymeter.faraday import perturbed_phases  # noqa: E402
 from faradaymeter.imperfect import ImperfectionParams  # noqa: E402
+from faradaymeter.oracle import concurrence_mixed  # noqa: E402
 from faradaymeter.protocol import TwoPhotonState, run_analytic  # noqa: E402
 
 STATES = 64
@@ -57,6 +59,8 @@ SIMULATE_TRIALS = {"1e6": 1_000_000, "1e7": 10_000_000}
 # The fastest of 5 queries moved 1.7x with no estimator change; the median
 # of 15 alternating queries holds steadier.
 SIMULATE_REPEATS = 15
+# Rounds over the documents of the exact query figures, the two modes taking turns.
+QUERY_ROUNDS = 100
 # Passes per tree of a comparison; a pass takes about 15 s.
 PASSES = 5
 
@@ -71,7 +75,15 @@ FIGURES = {
                       "the four axes in turn), us per query",
     "sweep_dense_query_us": "cli.parse_config plus cli.run of a sweep-dense document (8 points "
                             "of 20000 trials, the four axes in turn), us per query",
+    **{
+        f"exact_query_us.{mode}": f"cli.parse_config plus cli.run into a new StringIO of an "
+                                  f"{mode} document, timed one query at a time as perfbench "
+                                  f"times it, median us of {QUERY_ROUNDS} rounds"
+        for mode in ("analytic", "oracle")
+    },
     "run_analytic_us": "protocol.run_analytic(state, perturbed_phases(0.0)), us per call",
+    "concurrence_mixed_us": "oracle.concurrence_mixed on an oracle document's density matrix, "
+                            "us per call",
     "sampler_setup_us": "estimator.TrialSampler(state, perturbed_phases(0.05)), us per build",
     "estimate_mtrials_per_s": f"estimator.estimate on {ESTIMATE_TRIALS} trials "
                               "at eta 0.9, sigma 0.05, median Mtrials/s",
@@ -139,6 +151,23 @@ def documents(states: list[np.ndarray]) -> dict[str, list[str]]:
 
 def query(text: str) -> None:
     cli.run(cli.parse_config(text), StringIO())
+
+
+def exact_query_figures(docs: dict[str, list[str]]) -> dict[str, float]:
+    """Median us of one analytic and one oracle query, each timed as perfbench times one.
+
+    The clock runs from the document text to the finished output, which
+    goes into a new ``StringIO``.  The modes take turns, one pass over
+    their documents each per round.
+    """
+    latencies = {mode: [] for mode in ("analytic", "oracle")}
+    for _ in range(QUERY_ROUNDS):
+        for mode, times in latencies.items():
+            for text in docs[mode]:
+                start = time.perf_counter_ns()
+                query(text)
+                times.append(time.perf_counter_ns() - start)
+    return {f"exact_query_us.{mode}": median(times) / 1e3 for mode, times in latencies.items()}
 
 
 def fastest_us(tasks: dict, rounds: int = ROUNDS) -> dict[str, float]:
@@ -223,6 +252,8 @@ def measure() -> dict:
             cli._record, [(config, run_mode(config)) for config in configs]
         )
         tasks[f"parse_config_us.{mode}"] = (cli.parse_config, [(text,) for text in docs[mode]])
+    matrices = [(cli.parse_config(text).density_matrix,) for text in docs["oracle"]]
+    tasks["concurrence_mixed_us"] = (concurrence_mixed, matrices)
     tasks["parse_config_us.sweep"] = (cli.parse_config, [(text,) for text in docs["sweep"]])
     for name, kind in (("sweep_query_us", "sweep_query"), ("sweep_dense_query_us", "sweep")):
         tasks[name] = (query, [(text,) for text in docs[kind][:SWEEP_QUERIES]])
@@ -234,6 +265,7 @@ def measure() -> dict:
         lambda state: TrialSampler(state, perturbed_phases(0.05)), two_photon
     )
     figures = fastest_us(tasks)
+    figures.update(exact_query_figures(docs))
     figures.update(estimate_figures(states[0]))
     simulate = {
         f"simulate_query_ms.{label}": partial(query, json.dumps({

@@ -19,7 +19,6 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,7 +29,7 @@ from .estimator import RNG_ID, TrialConfig, estimate, estimate_all
 from .faraday import CavityParams, perturbed_phases, phases_from_params
 from .imperfect import ImperfectionParams
 from .oracle import concurrence_mixed, concurrence_pure, concurrence_pure_general
-from .protocol import TwoPhotonState, run_analytic
+from .protocol import TwoPhotonState, _norm, _scaled, run_analytic
 
 log = logging.getLogger("faradaymeter")
 # used as a library, the package prints no warning unless its caller
@@ -172,8 +171,13 @@ def _section(data, keys: dict, context: str) -> dict:
 
 
 def _state_from(data) -> TwoPhotonState:
-    amps = np.array(list(_section(data, _AMPLITUDE_KEYS, "state").values()), dtype=complex)
-    nrm = float(np.linalg.norm(amps))
+    """The state of a ``state`` section, divided by its norm as numpy divides.
+
+    The norm adds the squares in numpy's order, ``((re_a^2 + re_g^2) +
+    (re_b^2 + re_d^2)) + (the same of the imaginary parts)``.
+    """
+    amps = list(_section(data, _AMPLITUDE_KEYS, "state").values())
+    nrm = _norm(amps)
     deviation = abs(nrm - 1.0)
     # written so that a NaN norm fails the test
     if not deviation <= _RENORM_TOL:
@@ -182,7 +186,7 @@ def _state_from(data) -> TwoPhotonState:
         )
     if deviation > _EXACT_NORM_TOL:
         log.warning("state amplitudes renormalized from norm %r", nrm)
-    return TwoPhotonState(*(amps / nrm).tolist())
+    return TwoPhotonState(*_scaled(amps, nrm))
 
 
 def _density_from(data) -> np.ndarray:
@@ -405,13 +409,34 @@ def _written(record: dict) -> str:
 
 
 def _record(config: RunConfig, results: dict) -> str:
-    if config.mode == "analytic" and config.out is None:
-        return _analytic_record(config, results)
-    return _written(_record_tree(config, results))
+    """The record text; an analytic or oracle one without ``out`` is filled into its layout.
+
+    Its numbers go in the writer's order, which sorts every key: the scalar
+    inputs (only analytic has any, sorting before ``state``), the [re, im]
+    pairs of the state (alpha, beta, delta, gamma) or of the matrix, then the
+    results.  Each is a finite float: parsing checks the state's norm, eta_a
+    and sigma, the oracle rejects a non-finite matrix, and every result is a
+    concurrence or a product, ratio, clamp or square root of stage weights.
+    """
+    if config.out is not None or config.mode not in ("analytic", "oracle"):
+        return _written(_record_tree(config, results))
+    state = config.state
+    if state is None:
+        layout, scalars, floats = _layout(config.mode, "density_matrix")
+        inputs = config.density_matrix.view(float).ravel().tolist()
+    else:
+        layout, scalars, floats = _layout(config.mode, "state")
+        a, b, c, d = state.alpha, state.beta, state.delta, state.gamma_c
+        inputs = (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)
+    numbers = (*map(config.__getattribute__, scalars), *inputs, *map(results.__getitem__, floats))
+    return layout % tuple(map(_float_repr, numbers))
 
 
-# A string no record holds: the leaf of every number in the placeholder record.
+# A string no record holds: the leaf of every number in a placeholder record.
 _SLOT = "\x00"
+# The input of a placeholder record: a state of unit norm or a matrix of unit trace.
+_PLACEHOLDERS = {"state": dict.fromkeys(_AMPLITUDE_KEYS, 0.5),
+                 "density_matrix": [[0.25 * (row == col) for col in range(4)] for row in range(4)]}
 
 
 def _slotted(value):
@@ -427,43 +452,19 @@ def _slotted(value):
 
 
 @functools.cache
-def _analytic_layout() -> tuple[str, Callable[[RunConfig, dict], tuple]]:
-    """The text of an analytic record without ``out``, a ``%s`` at each number.
+def _layout(mode: str, given: str) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    """The text of a ``mode`` record of input ``given`` without ``out``, a ``%s`` at each number.
 
     ``_write_json`` writes it, from a placeholder record whose every number
-    is ``_SLOT``, so the JSON spelling has one source.  The returned getter
-    gives a run's numbers in the writer's order, which sorts every key:
-    the scalar inputs, the [re, im] pairs of the state, whose key sorts
-    after theirs, then the results.
+    is ``_SLOT``, so the JSON spelling has one source.  Also returned: the
+    keys of the record's scalar inputs and float results, each sorted.
     """
-    config = _config_from_mapping({"mode": "analytic",
-                                   "state": dict.fromkeys(_AMPLITUDE_KEYS, 0.5)})
-    results = _run_analytic(config)
+    config = _config_from_mapping({"mode": mode, given: _PLACEHOLDERS[given]})
+    results = _MODES[mode].run(config)
     record = _record_tree(config, results)
-    text = _written(_slotted(record))
-    scalars_of = attrgetter(*sorted(key for key in record["inputs"] if key in _SCALARS))
-    names = tuple(_AMPLITUDE_KEYS)
-    amplitudes_of = itemgetter(*(names.index(name) for name in sorted(names)))
-    results_of = itemgetter(*sorted(results))
-
-    def numbers(config: RunConfig, results: dict) -> tuple:
-        a, b, c, d = amplitudes_of(config.state.amplitudes())
-        return (*scalars_of(config), a.real, a.imag, b.real, b.imag, c.real, c.imag,
-                d.real, d.imag, *results_of(results))
-
-    return text.replace("%", "%%").replace(_encode_str(_SLOT), "%s"), numbers
-
-
-def _analytic_record(config: RunConfig, results: dict) -> str:
-    """``_record`` of an analytic run without ``out``: its numbers filled into one layout.
-
-    Every number is a finite float: parsing checks the state's norm,
-    0 < eta_a <= 1 and abs(sigma) < pi/2, and the results are the stage
-    weights, polynomials in them, and products, clamped ratios and square
-    roots of those.
-    """
-    layout, numbers = _analytic_layout()
-    return layout % tuple(map(_float_repr, numbers(config, results)))
+    text = _written(_slotted(record)).replace("%", "%%").replace(_encode_str(_SLOT), "%s")
+    scalars = tuple(key for key in sorted(record["inputs"]) if key in _SCALARS)
+    return text, scalars, tuple(key for key in sorted(results) if type(results[key]) is float)
 
 
 def _run_analytic(config: RunConfig) -> dict:
@@ -514,11 +515,10 @@ def _run_simulate(config: RunConfig) -> dict:
 
 def _run_oracle(config: RunConfig) -> dict:
     if config.state is not None:
-        amps = np.array(config.state.amplitudes(), dtype=complex)
         return {
             "input_kind": "pure",
             "concurrence": concurrence_pure(config.state),
-            "concurrence_general": concurrence_pure_general(amps),
+            "concurrence_general": concurrence_pure_general(config.state.amplitudes()),
         }
     try:
         value = concurrence_mixed(config.density_matrix)

@@ -45,6 +45,22 @@ _NORM_TOL = 1e-10
 _ROUNDING_SLACK = 1e-9
 
 
+def _norm(amplitudes) -> float:
+    """The 2-norm of four amplitudes, bit for bit ``np.linalg.norm``'s (see TwoPhotonState)."""
+    a, b, c, d = amplitudes
+    return math.sqrt(((a.real * a.real + c.real * c.real) + (b.real * b.real + d.real * d.real))
+                     + ((a.imag * a.imag + c.imag * c.imag) + (b.imag * b.imag + d.imag * d.imag)))
+
+
+def _scaled(amplitudes, nrm: float) -> list[complex]:
+    """``amplitudes / nrm`` bit for bit as numpy divides: times ``1 / nrm``, after
+    adding 0.0 times the other part, which turns some -0.0 parts into +0.0.
+    """
+    scale = 1.0 / nrm
+    return [complex((z.real + z.imag * 0.0) * scale, (z.imag - z.real * 0.0) * scale)
+            for z in amplitudes]
+
+
 @dataclass(frozen=True)
 class TwoPhotonState:
     """Pure polarization state alpha|RR> + beta|RL> + gamma_c|LR> + delta|LL>.
@@ -53,6 +69,8 @@ class TwoPhotonState:
     amplitude is called ``gamma_c`` so it cannot be confused with the atomic
     decay rate gamma used elsewhere in the package.  Must be normalized to
     within 1e-10; use :meth:`normalized` to build one from raw amplitudes.
+    Both sum the squares of the norm in the order of numpy's strided dot,
+    ``((re_a^2 + re_g^2) + (re_b^2 + re_d^2)) + (the same of the imaginary parts)``.
     """
 
     alpha: complex
@@ -63,20 +81,20 @@ class TwoPhotonState:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma_c", "delta"):
             object.__setattr__(self, name, complex(getattr(self, name)))
-        nrm = math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes()))
+        nrm = _norm(self.amplitudes())
         # written so that a NaN norm fails the test
         if not abs(nrm - 1.0) <= _NORM_TOL:
             raise ValueError(f"two-photon amplitudes have norm {nrm!r}, expected 1")
 
     @classmethod
     def normalized(cls, alpha, beta, gamma_c, delta) -> "TwoPhotonState":
-        amps = np.array([alpha, beta, gamma_c, delta], dtype=complex)
-        nrm = float(np.linalg.norm(amps))
+        amps = [complex(a) for a in (alpha, beta, gamma_c, delta)]
+        nrm = _norm(amps)
         if not math.isfinite(nrm):
             raise ValueError(f"two-photon amplitudes have norm {nrm!r}, expected a finite one")
         if nrm < EMPTY_BRANCH_CUTOFF:
             raise ValueError("cannot normalize a zero amplitude vector")
-        return cls(*(amps / nrm))
+        return cls(*_scaled(amps, nrm))
 
     def amplitudes(self) -> tuple[complex, complex, complex, complex]:
         """Amplitudes in |RR>, |RL>, |LR>, |LL> order."""

@@ -18,6 +18,7 @@ from faradaymeter.cli import (
     RunConfig,
     _record_tree,
     _run_analytic,
+    _run_oracle,
     SWEEP_COLUMNS,
     SweepSpec,
     main,
@@ -342,17 +343,21 @@ LAYOUT_ETAS = (1.0, 0.9, 0.8, 1e-100)
 LAYOUT_SIGMAS = (0.0, 0.05, -0.7, 1.5)
 
 
+def state_section(amps) -> dict:
+    return {key: [float(a.real), float(a.imag)]
+            for key, a in zip(("alpha", "beta", "gamma", "delta"), amps)}
+
+
 def analytic_config(amps, index: int, **fields) -> RunConfig:
-    state = {key: [float(a.real), float(a.imag)]
-             for key, a in zip(("alpha", "beta", "gamma", "delta"), amps)}
     return parse_config(json.dumps({
-        "mode": "analytic", "state": state, "eta_a": LAYOUT_ETAS[index % 4],
+        "mode": "analytic", "state": state_section(amps), "eta_a": LAYOUT_ETAS[index % 4],
         "sigma": LAYOUT_SIGMAS[index // 4 % 4], **fields,
     }))
 
 
 def dumped(config: RunConfig) -> str:
-    return json.dumps(_record_tree(config, _run_analytic(config)), indent=2, sort_keys=True) + "\n"
+    results = (_run_analytic if config.mode == "analytic" else _run_oracle)(config)
+    return json.dumps(_record_tree(config, results), indent=2, sort_keys=True) + "\n"
 
 
 # sigma 1.5 warns that it is outside the small-error regime
@@ -378,6 +383,195 @@ class TestAnalyticLayout:
             assert payload == dumped(config)
             assert json.loads(payload)["inputs"]["out"] == str(path)
             assert path.read_text(encoding="utf-8") == payload
+
+
+def entry(value: complex, spelling: int):
+    """A matrix entry as a document may give it: an [re, im] pair, or, where
+    that reads back bit for bit, a real number (``spelling`` 1) or an
+    integer (``spelling`` 2)."""
+    if spelling and value.imag == 0.0 and math.copysign(1.0, value.imag) > 0.0:
+        if spelling == 2 and value.real.is_integer() and math.copysign(1.0, value.real) > 0.0:
+            return int(value.real)
+        return value.real
+    return [value.real, value.imag]
+
+
+def layout_matrices() -> list:
+    """Density-matrix sections on which the mixed oracle record layout is checked.
+
+    1200 seeded mixtures of one to four pure states, their entries spelled
+    in turn as pairs, real numbers and integers.  Three in seven have an
+    exact zero amplitude and one in five is real; their zero parts are set
+    to -0.0 in part, so 0, 0.0 and -0.0 all occur.  Then the four basis
+    projectors, in integers.
+    """
+    rng = np.random.default_rng(27)
+    matrices = []
+    for index in range(1200):
+        rank = 1 + index % 4
+        vecs = rng.normal(size=(rank, 4)) + 1j * rng.normal(size=(rank, 4))
+        if index % 5 == 0:
+            vecs = vecs.real + 0j
+        zero = rng.integers(4) if index % 7 < 3 else None
+        if zero is not None:
+            vecs[:, zero] = 0.0
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        rho = sum(w * np.outer(v, v.conj()) for w, v in zip(rng.dirichlet(np.ones(rank)), vecs))
+        # zeros of either sign: the real parts of every other zero row and
+        # column, the imaginary parts above the diagonal of a real matrix
+        if zero is not None and index % 2:
+            rho.real[zero, :] = rho.real[:, zero] = -0.0
+        if index % 5 == 0:
+            rho.imag[np.triu_indices(4, 1)] = -0.0
+        matrices.append([[entry(complex(z), index % 3) for z in row] for row in rho])
+    matrices.extend([[int(row == col == k) for col in range(4)] for row in range(4)]
+                    for k in range(4))
+    return matrices
+
+
+def oracle_config(field: str, value, **fields) -> RunConfig:
+    return parse_config(json.dumps({"mode": "oracle", field: value, **fields}))
+
+
+class TestOracleLayout:
+    # oracle records are filled into a fixed layout per input kind, which
+    # must give the bytes json.dumps gives for the record dict of the same results
+    def test_mixed_layout_matches_json_dumps(self):
+        matrices = layout_matrices()
+        parts = [part for matrix in matrices for row in matrix for part in row]
+        # the sections hold every spelling the layout must reproduce
+        zeros = {(type(part), math.copysign(1.0, part)) for part in parts if part == 0}
+        zeros |= {(list, math.copysign(1.0, zero)) for part in parts if type(part) is list
+                  for zero in part if zero == 0.0}
+        assert zeros == {(int, 1.0), (float, 1.0), (float, -1.0), (list, 1.0), (list, -1.0)}
+        concurrences = []
+        for index, matrix in enumerate(matrices):
+            config = oracle_config("density_matrix", matrix)
+            assert capture(config) == dumped(config), index
+            concurrences.append(_run_oracle(config)["concurrence"])
+        assert 0.0 in concurrences
+        assert any(c > 0.5 for c in concurrences)
+
+    def test_pure_layout_matches_json_dumps(self):
+        for index, amps in enumerate(layout_states()):
+            config = oracle_config("state", state_section(amps))
+            assert capture(config) == dumped(config), index
+
+    def test_record_with_out_is_unchanged(self, tmp_path):
+        cases = [("density_matrix", matrix) for matrix in layout_matrices()[::100]]
+        cases += [("state", state_section(amps)) for amps in layout_states()[::100]]
+        for index, (field, value) in enumerate(cases):
+            path = tmp_path / f"record_{index}.json"
+            config = oracle_config(field, value, out=str(path))
+            payload = capture(config)
+            assert payload == dumped(config)
+            assert json.loads(payload)["inputs"]["out"] == str(path)
+            assert path.read_text(encoding="utf-8") == payload
+
+
+def numpy_state(amps) -> tuple[float, list]:
+    """Norm and unit amplitudes by the numpy path state parsing used to take:
+    ``np.linalg.norm``, then ``amps / nrm``."""
+    vec = np.array(amps, dtype=complex)
+    nrm = float(np.linalg.norm(vec))
+    return nrm, (vec / nrm).tolist()
+
+
+def parts_of(amps) -> list:
+    return [part for amp in amps for part in (amp.real, amp.imag)]
+
+
+def bits(amps) -> list:
+    """Each part with the sign of its zero."""
+    return [(part, math.copysign(1.0, part)) for part in parts_of(amps)]
+
+
+# the states of the golden records and of the README
+GOLDEN_STATES = [
+    [0.0, SQ2, -SQ2, 0.0],
+    [complex(float(re), float(im)) for re, im in zip(HAAR_FLAGS[1::2], HAAR_FLAGS[2::2])],
+    [0.8, 0.0, 0.0, 0.6],
+    [SQ2, 0.0, 0.0, SQ2],
+    [0.0, 1.0, -1.0, 0.0],
+]
+
+
+class TestStateNorm:
+    # state parsing and TwoPhotonState.normalized take the norm and divide
+    # without numpy; numpy's own path is the reference they must keep to
+    @staticmethod
+    def parsed(amps) -> tuple:
+        return parse_config(json.dumps({"mode": "analytic", "state": state_section(amps)})
+                            ).state.amplitudes()
+
+    def test_within_an_ulp_of_numpy(self, caplog):
+        rng = np.random.default_rng(27)
+        haar = rng.normal(size=(10_000, 4)) + 1j * rng.normal(size=(10_000, 4))
+        haar /= np.linalg.norm(haar, axis=1, keepdims=True)
+        # off norm by up to 1e-3, inside the renormalization band
+        off = haar[:2000] * rng.uniform(1.0 - 0.999e-3, 1.0 + 0.999e-3, size=(2000, 1))
+        with caplog.at_level(logging.ERROR, logger="faradaymeter"):
+            for amps in (*haar, *off):
+                want = parts_of(numpy_state(amps)[1])
+                for got in (self.parsed(amps), TwoPhotonState.normalized(*amps).amplitudes()):
+                    assert all(abs(g - w) <= math.ulp(w) for g, w in zip(parts_of(got), want))
+
+    def test_golden_states_bit_for_bit(self):
+        for amps in GOLDEN_STATES:
+            nrm, want = numpy_state(amps)
+            assert bits(TwoPhotonState.normalized(*amps).amplitudes()) == bits(want)
+            # parsing rejects the unnormalized README singlet
+            if abs(nrm - 1.0) <= 1e-3:
+                assert bits(self.parsed(amps)) == bits(want)
+
+    @pytest.mark.parametrize("re, im", [(re, im) for re in (0.0, -0.0, 1e-4, -1e-4)
+                                        for im in (0.0, -0.0, 1e-4, -1e-4)])
+    def test_signed_zeros_as_numpy_gives_them(self, re, im):
+        amps = [complex(re, im), 0.6, 0.8j, 0.0]
+        want = bits(numpy_state(amps)[1])
+        assert bits(self.parsed(amps)) == want
+        assert bits(TwoPhotonState.normalized(*amps).amplitudes()) == want
+
+    def test_signed_zero_pinned(self):
+        # numpy adds 0.0 times the other part before it scales: a -0.0 real
+        # part beside a +0.0 imaginary part becomes +0.0, beside -0.0 it
+        # stays, and the -0.0 imaginary part beside it becomes +0.0
+        assert bits(self.parsed([complex(-0.0, 0.0), 0.6, 0.8j, 0.0])[:1]) == [
+            (0.0, 1.0), (0.0, 1.0)]
+        assert bits(self.parsed([complex(-0.0, -0.0), 0.6, 0.8j, 0.0])[:1]) == [
+            (0.0, -1.0), (0.0, 1.0)]
+
+    @pytest.mark.parametrize("alpha, norm", [
+        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "inf"), ("[1e200, 0]", "inf"),
+        ("[0, 1e200]", "inf"),
+    ])
+    def test_non_finite_norm_rejected(self, alpha, norm):
+        document = ('{"mode": "analytic", "state": {"alpha": %s, "beta": 0, "gamma": 0, '
+                    '"delta": [0.6, 0.8]}}' % alpha)
+        with pytest.raises(ConfigError) as caught:
+            parse_config(document)
+        assert str(caught.value) == (
+            f"state amplitudes have norm {norm}; beyond the 1e-3 auto-normalization band")
+
+    # the Haar state of HAAR_FLAGS scaled to a norm at each edge of the two bands
+    @pytest.mark.parametrize("factor, warning, error", [
+        (1.0 + 1e-6, None, None),
+        (1.0 - 1e-6, "state amplitudes renormalized from norm 0.9999989999999999", None),
+        (1.0 + 1e-3, "state amplitudes renormalized from norm 1.001", None),
+        (1.0 - 1e-3, None,
+         "state amplitudes have norm 0.999; beyond the 1e-3 auto-normalization band"),
+    ])
+    def test_norm_band_edges(self, factor, warning, error, caplog):
+        amps = [amp * factor for amp in GOLDEN_STATES[1]]
+        with caplog.at_level(logging.WARNING, logger="faradaymeter"):
+            if error is None:
+                assert bits(self.parsed(amps)) == bits(numpy_state(amps)[1])
+            else:
+                with pytest.raises(ConfigError) as caught:
+                    self.parsed(amps)
+                assert str(caught.value) == error
+        assert [record.getMessage() for record in caplog.records] == (
+            [warning] if warning else [])
 
 
 class TestSweep:
