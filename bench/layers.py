@@ -14,7 +14,9 @@ two columns time the same work.
 Within a pass each per-call figure is the fastest of many rounds spread
 over the whole pass; the Monte Carlo and ``simulate`` figures are medians
 of whole calls that take turns, and the exact query figures medians of
-single queries.
+single queries.  Every pass also times ``control_us``, a kernel of no
+program code; where two columns read it differently, the host ran their
+passes at different speeds, and their other figures differ by as much.
 """
 
 from __future__ import annotations
@@ -81,6 +83,16 @@ FIGURES = {
                                   f"times it, median us of {QUERY_ROUNDS} rounds"
         for mode in ("analytic", "oracle")
     },
+    **{
+        f"exact_run_us.{mode}": f"cli._run_{mode} on a parsed {mode} document, us per call; "
+                                f"with parse_config_us.{mode} and record_write_us.{mode} it "
+                                f"splits an exact query into parse, run and record"
+        for mode in ("analytic", "oracle")
+    },
+    "control_us": "a kernel of no program code: json.loads of an oracle document, the reprs of "
+                  "its 32 floats and one numpy.linalg.eigh of its matrix, us per call; the "
+                  "columns of two trees should read alike, and where they do not, the host "
+                  "ran their passes at different speeds",
     "run_analytic_us": "protocol.run_analytic(state, perturbed_phases(0.0)), us per call",
     "concurrence_mixed_us": "oracle.concurrence_mixed on an oracle document's density matrix, "
                             "us per call",
@@ -147,6 +159,14 @@ def documents(states: list[np.ndarray]) -> dict[str, list[str]]:
         single = {**SWEEPS[axis], "start": 1.0, "stop": 1.0} if axis == "trials" else SWEEPS[axis]
         sweep_query.append(json.dumps({**document, "trials": 1, "sweep": single}))
     return {"analytic": analytic, "oracle": oracle, "sweep": sweep, "sweep_query": sweep_query}
+
+
+def control(text: str, matrix: np.ndarray) -> None:
+    """Work of the kinds an exact query spends most on, without the program."""
+    data = json.loads(text)
+    list(map(float.__repr__, (part for row in data["density_matrix"] for pair in row
+                              for part in pair)))
+    np.linalg.eigh(matrix)
 
 
 def query(text: str) -> None:
@@ -252,8 +272,12 @@ def measure() -> dict:
             cli._record, [(config, run_mode(config)) for config in configs]
         )
         tasks[f"parse_config_us.{mode}"] = (cli.parse_config, [(text,) for text in docs[mode]])
+        tasks[f"exact_run_us.{mode}"] = (run_mode, [(config,) for config in configs])
     matrices = [(cli.parse_config(text).density_matrix,) for text in docs["oracle"]]
     tasks["concurrence_mixed_us"] = (concurrence_mixed, matrices)
+    text = docs["oracle"][0]
+    matrix = np.array(json.loads(text)["density_matrix"]).view(complex).reshape(4, 4)
+    tasks["control_us"] = (control, [(text, matrix)])
     tasks["parse_config_us.sweep"] = (cli.parse_config, [(text,) for text in docs["sweep"]])
     for name, kind in (("sweep_query_us", "sweep_query"), ("sweep_dense_query_us", "sweep")):
         tasks[name] = (query, [(text,) for text in docs[kind][:SWEEP_QUERIES]])

@@ -56,6 +56,7 @@ DEFAULT_TRIALS = 100_000
 
 _EXACT_NORM_TOL = 1e-6
 _RENORM_TOL = 1e-3
+_DENSITY_FORM = "density_matrix must be a 4x4 array of [re, im] pairs"
 
 # Key tables: each key of a config section and the type its value is read
 # as.  Parsing, the command-line flags and the record echo all read these.
@@ -105,20 +106,19 @@ class SweepSpec:
 _SECTIONS = {"cavity": (_CAVITY_KEYS, "--"), "sweep": (_SWEEP_KEYS, "--sweep-")}
 
 
-@dataclass(frozen=True, eq=False)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully validated description of one command invocation."""
 
     mode: str
-    state: TwoPhotonState | None
     trials: int
     seed: int
     eta_a: float
     sigma: float
-    cavity: CavityParams | None
-    density_matrix: np.ndarray | None
-    sweep: SweepSpec | None
     out: str | None
+    state: TwoPhotonState | None
+    density_matrix: np.ndarray | None
+    cavity: CavityParams | None
+    sweep: SweepSpec | None
 
 
 def _too_large(context: str) -> ConfigError:
@@ -127,10 +127,8 @@ def _too_large(context: str) -> ConfigError:
 
 
 def _require(data: dict, key: str, kind, context: str):
-    """``data[key]`` read as ``kind``; complex also takes an [re, im] pair."""
+    """``data[key]`` read as ``kind``."""
     value = data[key]
-    if kind is complex:
-        return _complex_from(value, f"{context}.{key}")
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         try:
             value = float(value)
@@ -145,14 +143,17 @@ def _require(data: dict, key: str, kind, context: str):
 _REALS = (int, float)
 
 
-def _complex_from(value, context: str) -> complex:
+def _parts_from(value, context: str):
+    """The real and imaginary parts of a number or an [re, im] pair, as floats."""
     # values come from json.loads or from float flags, so exact types suffice
+    if type(value) is list and len(value) == 2 and type(value[0]) is type(value[1]) is float:
+        return value  # the form a document mostly gives
     try:
         if type(value) in _REALS:
-            return complex(float(value), 0.0)
+            return float(value), 0.0
         if (type(value) in (list, tuple) and len(value) == 2
                 and type(value[0]) in _REALS and type(value[1]) in _REALS):
-            return complex(float(value[0]), float(value[1]))
+            return float(value[0]), float(value[1])
     except OverflowError:
         raise _too_large(context) from None
     raise ConfigError(f"{context} must be a number or an [re, im] pair")
@@ -176,7 +177,9 @@ def _state_from(data) -> TwoPhotonState:
     The norm adds the squares in numpy's order, ``((re_a^2 + re_g^2) +
     (re_b^2 + re_d^2)) + (the same of the imaginary parts)``.
     """
-    amps = list(_section(data, _AMPLITUDE_KEYS, "state").values())
+    if not isinstance(data, dict) or data.keys() != _AMPLITUDE_KEYS.keys():
+        _section(data, _AMPLITUDE_KEYS, "state")  # raises the section's error
+    amps = [complex(*_parts_from(data[key], f"state.{key}")) for key in _AMPLITUDE_KEYS]
     nrm = _norm(amps)
     deviation = abs(nrm - 1.0)
     # written so that a NaN norm fails the test
@@ -190,21 +193,32 @@ def _state_from(data) -> TwoPhotonState:
 
 
 def _density_from(data) -> np.ndarray:
+    """The matrix of a ``density_matrix`` section, its [re, im] parts read in one pass."""
+    parts: list[float] = []
+    starts: list[int] = []
     try:
-        rows = [[_complex_from(entry, "density_matrix entry") for entry in row] for row in data]
-        matrix = np.array(rows, dtype=complex)
-    except (TypeError, ValueError, ConfigError) as exc:
-        # a ragged array is numpy's ValueError
-        raise ConfigError(f"density_matrix must be a 4x4 array of [re, im] pairs: {exc}") from None
-    if matrix.shape != (4, 4):
-        raise ConfigError(f"density_matrix must be 4x4, got shape {matrix.shape}")
-    return matrix
+        for row in data:
+            starts.append(len(parts))
+            for entry in row:
+                parts += _parts_from(entry, "density_matrix entry")
+    except TypeError:  # iterating what is not a list
+        where = f"row {len(starts) - 1}" if starts else "the section"
+        raise ConfigError(f"{_DENSITY_FORM}: {where} is not a list") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{_DENSITY_FORM}: {exc}") from None
+    widths = [(end - start) // 2 for start, end in zip(starts, [*starts[1:], len(parts)])]
+    for index, width in enumerate(widths):
+        if width != widths[0]:
+            raise ConfigError(f"{_DENSITY_FORM}: row {index} has {width} entries, not {widths[0]}")
+    shape = (len(widths), widths[0]) if widths else (0,)
+    if shape != (4, 4):
+        raise ConfigError(f"density_matrix must be 4x4, got shape {shape}")
+    return np.array(parts).view(complex).reshape(4, 4)
 
 
 def _config_from_mapping(data: dict) -> RunConfig:
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
+    if not data.keys() <= _TOP_KEYS:
+        raise ConfigError(f"unknown config key {sorted(data.keys() - _TOP_KEYS)[0]!r}")
     if data.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
         raise ConfigError(f"schema must be {CONFIG_SCHEMA!r}, got {data['schema']!r}")
     if "mode" not in data:
@@ -213,26 +227,22 @@ def _config_from_mapping(data: dict) -> RunConfig:
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
-    scalars = {
-        key: _require(data, key, kind, "config") if key in data else default
-        for key, (kind, default) in _SCALARS.items()
-    }
-    out = _require(data, "out", str, "config") if "out" in data else None
-
-    state = _state_from(data["state"]) if "state" in data else None
-    density = _density_from(data["density_matrix"]) if "density_matrix" in data else None
-
-    sections = dict.fromkeys(_SECTIONS)
+    # in the order of the fields of RunConfig
+    fields = [mode]
+    for key, (kind, default) in _SCALARS.items():
+        fields.append(_require(data, key, kind, "config") if key in data else default)
+    fields.append(_require(data, "out", str, "config") if "out" in data else None)
+    fields.append(_state_from(data["state"]) if "state" in data else None)
+    fields.append(_density_from(data["density_matrix"]) if "density_matrix" in data else None)
     for name, build in (("cavity", CavityParams), ("sweep", SweepSpec)):
+        fields.append(None)
         if name in data:
             try:
-                sections[name] = build(**_section(data[name], _SECTIONS[name][0], name))
+                fields[-1] = build(**_section(data[name], _SECTIONS[name][0], name))
             except ValueError as exc:
                 raise ConfigError(f"{name}: {exc}") from None
 
-    config = RunConfig(
-        mode=mode, state=state, density_matrix=density, out=out, **scalars, **sections
-    )
+    config = RunConfig(*fields)
     _check_mode_requirements(config, data.keys())
     _check_ranges(config)
     return config
@@ -284,7 +294,7 @@ def _check_ranges(config: RunConfig) -> None:
         elif "trials" in reads:
             _trial_config(config)
         elif "eta_a" in reads:
-            ImperfectionParams(eta_a=config.eta_a, sigma=config.sigma)
+            ImperfectionParams(config.eta_a, config.sigma)
     except ValueError as exc:
         raise ConfigError(f"{context}{exc}") from None
 

@@ -124,10 +124,11 @@ class FaradayPhases:
     r0_modulus: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("r_modulus", "r0_modulus"):
-            value = getattr(self, name)
-            if not -1e-9 <= value <= 1.0 + 1e-9:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        if not (-1e-9 <= self.r_modulus <= 1.0 + 1e-9 and -1e-9 <= self.r0_modulus <= 1.0 + 1e-9):
+            for name in ("r_modulus", "r0_modulus"):
+                value = getattr(self, name)
+                if not -1e-9 <= value <= 1.0 + 1e-9:
+                    raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
     @property
     def rotation_angle(self) -> float:
@@ -161,7 +162,7 @@ def perturbed_phases(sigma: float) -> FaradayPhases:
     """Ideal operating point with the coupled phase off by ``sigma``."""
     if not abs(sigma) < math.pi / 2.0:
         raise ValueError(f"phase error sigma must satisfy |sigma| < pi/2, got {sigma!r}")
-    return FaradayPhases(phi=math.pi + sigma, phi0=math.pi / 2.0)
+    return FaradayPhases(math.pi + sigma, math.pi / 2.0)
 
 
 def interaction_table(phases: FaradayPhases) -> dict[tuple[int, int], complex]:

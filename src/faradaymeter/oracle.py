@@ -10,6 +10,8 @@ meaningful evidence.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .errors import NumericalFailureError
@@ -17,6 +19,10 @@ from .protocol import TwoPhotonState
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
+# SIGMA_YY's anti-diagonal from the top right corner down; the row-major
+# positions of each entry on or above the diagonal and of its mirror.
+_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+_MIRRORED = [(4 * row + col, 4 * col + row) for row in range(4) for col in range(row, 4)]
 
 _HERMITIAN_TOL = 1e-10
 _TRACE_TOL = 1e-10
@@ -48,11 +54,13 @@ def _validated_eigh(rho) -> tuple[np.ndarray, np.ndarray]:
     mat = np.asarray(rho, dtype=complex)
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
+    entries = mat.ravel().tolist()
+    if not all(map(cmath.isfinite, entries)):
         raise ValueError("density matrix entries must be finite")
-    if np.abs(mat - mat.conj().T).max() > _HERMITIAN_TOL:
-        raise ValueError("density matrix is not Hermitian to within 1e-10")
-    trace = mat.trace()
+    for upper, lower in _MIRRORED:
+        if abs(entries[upper] - entries[lower].conjugate()) > _HERMITIAN_TOL:
+            raise ValueError("density matrix is not Hermitian to within 1e-10")
+    trace = (entries[0] + entries[5]) + (entries[10] + entries[15])  # numpy's order
     if abs(trace.real - 1.0) > _TRACE_TOL or abs(trace.imag) > _TRACE_TOL:
         raise ValueError(f"density matrix trace is {trace!r}, expected 1")
     evals, evecs = np.linalg.eigh(mat)
@@ -65,22 +73,22 @@ def concurrence_mixed(rho) -> float:
     """Concurrence of an arbitrary two-qubit density matrix.
 
     The square roots of the eigenvalues of ``rho rho_tilde`` are the
-    singular values of ``X^T (sigma_y x sigma_y) X`` for any factor
-    ``rho = X X^dagger``; ``X`` is taken from the eigendecomposition the
-    validation already computes, with round-off negative eigenvalues set to
-    zero.  Sorting them as l1 >= ... >= l4 gives ``max(0, l1 - l2 - l3 - l4)``.
-    Working with the roots directly keeps small genuine ones exact, where
-    the eigenvalues of ``rho rho_tilde`` itself (their squares) would sink
-    below round-off for nearly pure inputs.
+    singular values of ``X^T (sigma_y x sigma_y) X`` for any factor ``rho =
+    X X^dagger``; ``X`` comes from the eigendecomposition that follows the
+    checks of the entries, read as Python numbers, with round-off negative
+    eigenvalues set to zero.  ``X^T (sigma_y x sigma_y)`` is ``X^T`` with its
+    columns reversed and signed.  The roots l1 >= ... >= l4, as Python floats,
+    give ``max(0, l1 - l2 - l3 - l4)``; small genuine ones stay exact, where
+    their squares, the eigenvalues of ``rho rho_tilde``, sink below round-off.
     """
     evals, evecs = _validated_eigh(rho)
     factor = evecs * np.sqrt(np.maximum(evals, 0.0))
     try:
-        roots = np.linalg.svd(factor.T @ SIGMA_YY @ factor, compute_uv=False)
+        roots = np.linalg.svd((factor.T[:, ::-1] * _FLIP_SIGNS) @ factor, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"singular value iteration failed: {exc}") from exc
-    value = roots[0] - roots[1] - roots[2] - roots[3]
-    return max(0.0, min(1.0, float(value)))
+    l1, l2, l3, l4 = roots.tolist()
+    return max(0.0, min(1.0, l1 - l2 - l3 - l4))
 
 
 def density_from_pure(psi) -> np.ndarray:

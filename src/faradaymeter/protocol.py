@@ -79,8 +79,9 @@ class TwoPhotonState:
     delta: complex
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma_c", "delta"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+        if {type(self.alpha), type(self.beta), type(self.gamma_c), type(self.delta)} != {complex}:
+            for name in ("alpha", "beta", "gamma_c", "delta"):
+                object.__setattr__(self, name, complex(getattr(self, name)))
         nrm = _norm(self.amplitudes())
         # written so that a NaN norm fails the test
         if not abs(nrm - 1.0) <= _NORM_TOL:

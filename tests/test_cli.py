@@ -70,6 +70,61 @@ def werner_like(p: float) -> list:
     ]
 
 
+def quarter_identity(**entries) -> list:
+    """I/4 as rows of numbers, with the entries at ``entries`` ("r1c2": value) replaced."""
+    rows = [[0.25 * (row == col) for col in range(4)] for row in range(4)]
+    for key, value in entries.items():
+        rows[int(key[1])][int(key[3])] = value
+    return rows
+
+
+DENSITY_SHAPE = "density_matrix must be a 4x4 array of [re, im] pairs: "
+DENSITY_ENTRY = DENSITY_SHAPE + "density_matrix entry must be a number or an [re, im] pair"
+# Every error a density_matrix section can give, parsed or run, and its exact text.
+DENSITY_ERRORS = {
+    "wrong-type": (5, DENSITY_SHAPE + "the section is not a list"),
+    "bool": (True, DENSITY_SHAPE + "the section is not a list"),
+    "null": (None, DENSITY_SHAPE + "the section is not a list"),
+    "flat": ([0.25] * 16, DENSITY_SHAPE + "row 0 is not a list"),
+    "number-row": ([[0.25, 0, 0, 0], 0.25, [0, 0, 0.25, 0], [0, 0, 0, 0.25]],
+                   DENSITY_SHAPE + "row 1 is not a list"),
+    "string": ("abcd", DENSITY_ENTRY),
+    "mapping": ({"r0": [1, 0, 0, 0]}, DENSITY_ENTRY),
+    "three-element-entry": (quarter_identity(r0c0=[0.25, 0, 0]), DENSITY_ENTRY),
+    "bool-entry": (quarter_identity(r1c1=True), DENSITY_ENTRY),
+    "string-entry": (quarter_identity(r2c2="0.25"), DENSITY_ENTRY),
+    "null-entry": (quarter_identity(r3c3=None), DENSITY_ENTRY),
+    "bad-entry-before-ragged-row": ([[None, 0], [0]], DENSITY_ENTRY),
+    "ragged": ([[1, 0], [0]], DENSITY_SHAPE + "row 1 has 1 entries, not 2"),
+    "ragged-4x4": ([[0.25, 0, 0, 0], [0, 0.25, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]],
+                   DENSITY_SHAPE + "row 1 has 3 entries, not 4"),
+    "3x3": ([[1 / 3 * (row == col) for col in range(3)] for row in range(3)],
+            "density_matrix must be 4x4, got shape (3, 3)"),
+    "2x8": ([[0.0] * 8] * 2, "density_matrix must be 4x4, got shape (2, 8)"),
+    "empty": ([], "density_matrix must be 4x4, got shape (0,)"),
+    "empty-rows": ([[], [], [], []], "density_matrix must be 4x4, got shape (4, 0)"),
+    "too-large-int": (quarter_identity(r0c1=10**400),
+                      DENSITY_SHAPE + "density_matrix entry is too large for a float"),
+    "too-large-pair": (quarter_identity(r0c1=[0, 10**400]),
+                       DENSITY_SHAPE + "density_matrix entry is too large for a float"),
+    "nan": (quarter_identity(r0c0=math.nan),
+            "density_matrix: density matrix entries must be finite"),
+    "infinity": (quarter_identity(r2c1=[0, -math.inf]),
+                 "density_matrix: density matrix entries must be finite"),
+    "non-hermitian": (quarter_identity(r0c1=0.1),
+                      "density_matrix: density matrix is not Hermitian to within 1e-10"),
+    "complex-diagonal": (quarter_identity(r3c3=[0.25, 1e-3]),
+                         "density_matrix: density matrix is not Hermitian to within 1e-10"),
+    "bad-trace": ([[0.5 * (row == col) for col in range(4)] for row in range(4)],
+                  "density_matrix: density matrix trace is (2+0j), expected 1"),
+    "complex-trace": (quarter_identity(**{f"r{k}c{k}": [0.25, 4e-11] for k in range(4)}),
+                      "density_matrix: density matrix trace is (1+1.6e-10j), expected 1"),
+    "negative-eigenvalue": ([[0.6, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, -0.1, 0], [0, 0, 0, 0]],
+                            "density_matrix: density matrix has a negative eigenvalue beyond "
+                            "tolerance"),
+}
+
+
 # One record per mode, plus an imperfect analytic run and the mixed-state
 # oracle: the argv, and the config document it reads, if any.
 RECORD_CASES = {
@@ -278,6 +333,13 @@ class TestRecords:
     def test_ragged_density_matrix_is_config_error(self):
         with pytest.raises(ConfigError, match="density_matrix must be a 4x4 array"):
             parse_config('{"mode":"oracle","density_matrix":[[1,0],[0]]}')
+
+    @pytest.mark.parametrize("matrix, text", DENSITY_ERRORS.values(), ids=DENSITY_ERRORS)
+    def test_density_matrix_error_texts(self, matrix, text):
+        with pytest.raises(ConfigError) as caught:
+            run(parse_config(json.dumps({"mode": "oracle", "density_matrix": matrix})),
+                io.StringIO())
+        assert str(caught.value) == text
 
     def test_phases_record(self):
         doc = {"mode": "phases", "cavity": IDEAL_CAVITY}

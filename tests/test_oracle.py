@@ -78,6 +78,17 @@ class TestDensityValidation:
         with pytest.raises(ValueError, match="trace"):
             _validated_eigh(np.eye(4) / 2)
 
+    def test_trace_summed_as_numpy_sums_it(self):
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            vecs = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            mat = vecs @ vecs.conj().T
+            mat *= (1.0 + 1e-9 * rng.uniform(0.2, 1.0)) / mat.trace().real
+            with pytest.raises(ValueError) as caught:
+                _validated_eigh(mat)
+            expected = f"density matrix trace is {complex(mat.trace())!r}, expected 1"
+            assert str(caught.value) == expected
+
     def test_rejects_negative_eigenvalue(self):
         mat = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="negative"):
@@ -147,6 +158,33 @@ class TestMixedConcurrence:
             weights = rng.dirichlet(np.ones(4))
             rho = sum(w * density_from_pure(random_pure(rng)) for w in weights)
             assert 0.0 <= concurrence_mixed(rho) <= 1.0
+
+    # 1 - p down to round-off, where an error of order 1 - p would still
+    # pass a tolerance scaled by 1 - p
+    @pytest.mark.parametrize("one_minus_p", [1e-4, 1e-6, 1e-8, 1e-10, 0.0])
+    def test_near_pure_mixtures_exact(self, one_minus_p):
+        rng = np.random.default_rng(29)
+        p = 1.0 - one_minus_p
+        for _ in range(200):
+            psi = random_pure(rng)
+            rho = p * density_from_pure(psi) + one_minus_p * np.eye(4) / 4.0
+            expected = max(0.0, p * concurrence_pure_general(psi) - one_minus_p / 2.0)
+            assert abs(concurrence_mixed(rho) - expected) <= 1e-12
+
+    def test_bit_for_bit_the_sigma_yy_product(self):
+        # the reversed, signed columns stand in for the product with SIGMA_YY
+        rng = np.random.default_rng(31)
+        for index in range(1000):
+            rank = 1 + index % 4
+            weights = rng.dirichlet(np.ones(rank))
+            rho = sum(w * density_from_pure(random_pure(rng)) for w in weights)
+            if index % 5 == 0:
+                rho = werner(float(rng.uniform(0.0, 1.0)))
+            evals, evecs = np.linalg.eigh(rho)
+            factor = evecs * np.sqrt(np.maximum(evals, 0.0))
+            roots = np.linalg.svd(factor.T @ SIGMA_YY @ factor, compute_uv=False)
+            expected = max(0.0, min(1.0, float(roots[0] - roots[1] - roots[2] - roots[3])))
+            assert concurrence_mixed(rho) == expected, index
 
     def test_sigma_yy_constant(self):
         expected = np.array(
