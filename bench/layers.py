@@ -16,7 +16,8 @@ over the whole pass; the Monte Carlo and ``simulate`` figures are medians
 of whole calls that take turns, and the exact query figures medians of
 single queries.  Every pass also times ``control_us``, a kernel of no
 program code; where two columns read it differently, the host ran their
-passes at different speeds, and their other figures differ by as much.
+passes at different speeds, and their other figures may differ for that
+reason alone.
 """
 
 from __future__ import annotations
