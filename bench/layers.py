@@ -98,6 +98,9 @@ FIGURES = {
     "concurrence_mixed_us": "oracle.concurrence_mixed on an oracle document's density matrix, "
                             "us per call",
     "sampler_setup_us": "estimator.TrialSampler(state, perturbed_phases(0.05)), us per build",
+    "stream_seed_us": f"estimator._stream_at(seed, 0) over {STATES} 64-bit seeds, us per call: "
+                      "the seeding every Monte Carlo run pays before its draws, the floor "
+                      "under sweep_query_us of 8 such runs",
     "estimate_mtrials_per_s": f"estimator.estimate on {ESTIMATE_TRIALS} trials "
                               "at eta 0.9, sigma 0.05, median Mtrials/s",
     "count_span_fill_share": f"share of one-thread estimator._count_span time, on "
@@ -289,6 +292,8 @@ def measure() -> dict:
     tasks["sampler_setup_us"] = (
         lambda state: TrialSampler(state, perturbed_phases(0.05)), two_photon
     )
+    seeds = np.random.default_rng(7).integers(0, 2**64, size=STATES, dtype=np.uint64)
+    tasks["stream_seed_us"] = (estimator._stream_at, [(int(seed), 0) for seed in seeds])
     figures = fastest_us(tasks)
     figures.update(exact_query_figures(docs))
     figures.update(estimate_figures(states[0]))

@@ -502,7 +502,7 @@ def _trial_config(
     2**64``; without ``index`` the seed is taken as given.
     """
     state, trials, seed = config.state, config.trials, config.seed
-    scalars = {"eta_a": config.eta_a, "sigma": config.sigma}
+    eta_a, sigma = config.eta_a, config.sigma
     if index is not None:
         seed = (seed + index) % 2**64
     if value is not None:
@@ -511,11 +511,13 @@ def _trial_config(
             state = TwoPhotonState(math.cos(value), 0.0, 0.0, math.sin(value))
         elif axis == "trials":
             trials = int(round(value))
+        elif axis == "eta_a":
+            eta_a = value
         else:
-            scalars[axis] = value
-    imperfections = ImperfectionParams(**scalars)
-    return TrialConfig(n_trials=trials, master_seed=seed, state=state,
-                       phases=perturbed_phases(imperfections.sigma), imperfections=imperfections)
+            sigma = value
+    # the imperfections first, so that a bad sigma raises their error
+    imperfections = ImperfectionParams(eta_a, sigma)
+    return TrialConfig(trials, seed, state, perturbed_phases(sigma), imperfections)
 
 
 def _run_simulate(config: RunConfig) -> dict:
@@ -552,7 +554,7 @@ def _run_sweep(config: RunConfig) -> str:
     for index, (value, point, report) in enumerate(zip(values, points, reports)):
         row = (value, report.p1_hat, report.p2_hat, report.p_total_hat, report.c_hat,
                report.corrected_c_hat, concurrence_pure(point.state), report.c_low, report.c_high)
-        if not all(math.isfinite(v) for v in row):
+        if not all(map(math.isfinite, row)):
             raise NumericalFailureError(f"non-finite value in sweep row {index}: {row!r}")
         lines.append(",".join(map(float.__repr__, row)))
     return "\n".join(lines) + "\n"

@@ -13,18 +13,22 @@ the configuration: trials can be batched or split across workers without
 changing a single outcome.
 
 ``estimate_all`` runs a batch of configurations, such as the points of a
-sweep, on the calling thread and up to ``_MAX_WORKERS - 1`` helper threads
-(numpy's PCG64DXSM fill and ufuncs release the interpreter lock);
-``estimate`` is a batch of one.  A helper is woken only for a batch of at
-least ``2 * _MIN_SPAN`` trials in all, one per ``_MIN_SPAN`` trials: below
-that, waking one costs more than it saves, so a sweep of short points,
-such as 8 of 20000 trials, counts on the calling thread and starts no
-thread.  The helpers belong to one pool per process, started by the first
-batch that splits and kept for the next; a forked child starts its own.
-Each run is cut into contiguous trial spans, a long run into more spans
-than a short one, and the workers take spans off one shared iterator until
-it is empty.  The caller then cancels every helper that has not started,
-so a helper that wakes late costs nothing.
+sweep; ``estimate`` is a batch of one.  One sampler, and so one exact
+evaluation of the protocol, serves each stretch of consecutive runs of one
+state and phases: the 8 points of an ``eta_a`` or ``trials`` sweep share
+one.  A batch that does not split, one under ``2 * _MIN_SPAN`` trials in
+all, such as a sweep of 8 points of 20000 trials, or one on a single CPU,
+is counted inline: each run is one span on the calling thread, in order,
+so a point pays for its stream seeding, its draws and its report and
+starts no thread.  A batch that splits runs on the calling thread and up
+to ``_MAX_WORKERS - 1`` helper threads (numpy's PCG64DXSM fill and ufuncs
+release the interpreter lock), one per ``_MIN_SPAN`` trials: below that,
+waking one costs more than it saves.  The helpers belong to one pool per
+process, started by the first batch that splits and kept for the next; a
+forked child starts its own.  Each run is cut into contiguous trial spans,
+a long run into more spans than a short one, and the workers take spans
+off one shared iterator until it is empty.  The caller then cancels every
+helper that has not started, so a helper that wakes late costs nothing.
 A span is the stream advanced to draw ``lo`` and read on into a small
 buffer the worker reuses; per buffer, one compare against ``q1`` and one
 against ``q2`` give its two counts.
@@ -85,7 +89,9 @@ class TrialConfig:
             raise ValueError(f"trials must be a positive integer, got {self.n_trials!r}")
         if type(self.master_seed) is not int or not 0 <= self.master_seed < _MAX_SEED:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
-        if self.phases != perturbed_phases(self.imperfections.sigma):
+        expected = perturbed_phases(self.imperfections.sigma)
+        # perturbed_phases keeps one object per sigma, mostly the very one given
+        if self.phases is not expected and self.phases != expected:
             raise ValueError(
                 f"phases {self.phases!r} do not match the phase error "
                 f"sigma={self.imperfections.sigma!r} of the imperfections"
@@ -151,7 +157,8 @@ def _stream_at(master_seed: int, draw: int) -> np.random.Generator:
     """``PCG64DXSM(master_seed)`` advanced to its ``draw``-th double."""
     # one 64-bit output per double, so advancing by draw outputs skips draw doubles
     bits = np.random.PCG64DXSM(master_seed)
-    bits.advance(draw)
+    if draw:
+        bits.advance(draw)
     return np.random.Generator(bits)
 
 
@@ -199,14 +206,14 @@ def _count_span(
     stage1 = 0
     stage2 = 0
     for start in range(lo, hi, rows):
-        count = min(rows, hi - start)
-        block, hit = draws[:count], hits[:count]
-        gen.random(out=block)
-        np.less(block, q1, out=hit)
-        stage1 += int(np.count_nonzero(hit))
-        np.less(block, q2, out=hit)
-        stage2 += int(np.count_nonzero(hit))
-    return stage1, stage2
+        if hi - start < rows:  # the last block of a span longer than the buffer
+            draws, hits = draws[:hi - start], hits[:hi - start]
+        gen.random(out=draws)
+        np.less(draws, q1, out=hits)
+        stage1 += np.count_nonzero(hits)
+        np.less(draws, q2, out=hits)
+        stage2 += np.count_nonzero(hits)
+    return int(stage1), int(stage2)
 
 
 def _helpers():
@@ -267,47 +274,36 @@ def _count_tasks(tasks: list[tuple], workers: int) -> list[tuple[int, tuple[int,
 def _report(config: TrialConfig, stage1: int, stage2: int) -> EstimateReport:
     """Point estimates and the confidence interval of one run's counts."""
     n = config.n_trials
-    p1_hat = stage1 / n
-    p2_hat = stage2 / stage1 if stage1 > 0 else 0.0
     p_total_hat = stage2 / n
-    c_hat = 2.0 * math.sqrt(p_total_hat)
     low, high = wilson_interval(stage2, n)
-    corrected = min(1.0, 2.0 * math.sqrt(p_total_hat / config.imperfections.eta_a**3))
+    # the fields in order: counts, p1_hat, p2_hat, p_total_hat, c_hat, the
+    # interval's ends and corrected_c_hat
     return EstimateReport(
-        trials=n,
-        stage1_successes=stage1,
-        stage2_successes=stage2,
-        p1_hat=p1_hat,
-        p2_hat=p2_hat,
-        p_total_hat=p_total_hat,
-        c_hat=c_hat,
-        c_low=2.0 * math.sqrt(low),
-        c_high=2.0 * math.sqrt(high),
-        corrected_c_hat=corrected,
+        n, stage1, stage2, stage1 / n, stage2 / stage1 if stage1 > 0 else 0.0, p_total_hat,
+        2.0 * math.sqrt(p_total_hat), 2.0 * math.sqrt(low), 2.0 * math.sqrt(high),
+        min(1.0, 2.0 * math.sqrt(p_total_hat / config.imperfections.eta_a**3)),
     )
 
 
-def estimate_all(configs: Sequence[TrialConfig]) -> list[EstimateReport]:
-    """Run every trial of each configuration and summarize each one's counts.
+def _thresholds(configs: Sequence[TrialConfig]) -> list[tuple[float, float]]:
+    """The ``(q1, q2)`` of each run; one sampler serves consecutive runs of one state and phases."""
+    thresholds = []
+    key = None
+    for config in configs:
+        # the tuples compare each state and phases by identity before equality
+        if (config.state, config.phases) != key:
+            key = (config.state, config.phases)
+            sampler = TrialSampler(*key)
+        thresholds.append(sampler.thresholds(config.imperfections.eta_a))
+    return thresholds
 
-    The runs are cut into contiguous trial spans, a run long relative to
-    the batch into several, and all spans of all runs are dealt out to the
-    calling thread and the helpers of the process's pool, as many workers
-    as the CPUs the process may run on, at most ``_MAX_WORKERS``, and no
-    more than there are spans or whole ``_MIN_SPAN`` blocks in the batch,
-    so a batch under 2 ``_MIN_SPAN`` trials in all, such as a sweep of 8
-    points of 20000 trials, stays on the calling thread.
-    Each trial's draw sits at a fixed stream offset, so any buffer size,
-    split and schedule produce the identical reports.  The samplers and the
-    reports are built on the calling thread, in order.  No count raises: a
-    corrected estimate that noise pushes above 1 is clamped.
-    """
-    cpus = min(_MAX_WORKERS, _available_cpus())
-    total = sum(config.n_trials for config in configs)
+
+def _dealt_counts(
+    configs: Sequence[TrialConfig], thresholds: list, cpus: int, total: int
+) -> list[list[int]]:
+    """The counts of each run, its spans dealt out to ``cpus`` workers."""
     tasks = []
-    for index, config in enumerate(configs):
-        sampler = TrialSampler(config.state, config.phases)
-        thresholds = sampler.thresholds(config.imperfections.eta_a)
+    for index, (config, q) in enumerate(zip(configs, thresholds)):
         n = config.n_trials
         # spans in proportion to the run's share of the batch, at most one
         # per CPU and per _MIN_SPAN trials, so a batch of one run splits as
@@ -315,12 +311,42 @@ def estimate_all(configs: Sequence[TrialConfig]) -> list[EstimateReport]:
         parts = max(1, min(cpus, n // _MIN_SPAN, round(cpus * n / total)))
         bounds = [n * k // parts for k in range(parts + 1)]
         seed = config.master_seed
-        tasks += [(index, seed, thresholds, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        tasks += [(index, seed, q, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     counts = [[0, 0] for _ in configs]
     workers = min(cpus, len(tasks), total // _MIN_SPAN)
     for index, (stage1, stage2) in _count_tasks(tasks, workers):
         counts[index][0] += stage1
         counts[index][1] += stage2
+    return counts
+
+
+def estimate_all(configs: Sequence[TrialConfig]) -> list[EstimateReport]:
+    """Run every trial of each configuration and summarize each one's counts.
+
+    One sampler serves each stretch of consecutive runs of one state and
+    phases, such as the points of an ``eta_a`` or ``trials`` sweep.  A batch
+    that does not split, one under 2 ``_MIN_SPAN`` trials in all (a sweep
+    of 8 points of 20000 trials) or on one CPU, counts each run as one span
+    on the calling thread, in order, and asks for no CPU count when it is
+    that short.  A batch that splits is cut into contiguous trial spans, a
+    run long relative to the batch into several, and all spans of all runs
+    are dealt out to the calling thread and the helpers of the process's
+    pool, as many workers as the CPUs the process may run on, at most
+    ``_MAX_WORKERS``, and no more than there are spans or whole
+    ``_MIN_SPAN`` blocks in the batch.
+    Each trial's draw sits at a fixed stream offset, so any buffer size,
+    split and schedule produce the identical reports.  The samplers and the
+    reports are built on the calling thread, in order.  No count raises: a
+    corrected estimate that noise pushes above 1 is clamped.
+    """
+    total = sum([config.n_trials for config in configs])
+    thresholds = _thresholds(configs)
+    cpus = min(_MAX_WORKERS, _available_cpus()) if total >= 2 * _MIN_SPAN else 1
+    if cpus > 1:
+        counts = _dealt_counts(configs, thresholds, cpus, total)
+    else:
+        counts = [_count_span(config.master_seed, q, 0, config.n_trials)
+                  for config, q in zip(configs, thresholds)]
     return [_report(config, *passes) for config, passes in zip(configs, counts)]
 
 

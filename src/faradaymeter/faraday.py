@@ -13,6 +13,7 @@ phases, so scaled parameter sets are fine for numerical work.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -158,8 +159,16 @@ def ideal_phases() -> FaradayPhases:
     return FaradayPhases(phi=math.pi, phi0=math.pi / 2.0)
 
 
+# A FaradayPhases is frozen, so one object can serve every call with its
+# sigma: a sweep point's run and the check of its config ask for the same one.
+# Keyed by type as well, so each call gets the phi its own sigma gives.
+@functools.lru_cache(maxsize=64, typed=True)
 def perturbed_phases(sigma: float) -> FaradayPhases:
-    """Ideal operating point with the coupled phase off by ``sigma``."""
+    """Ideal operating point with the coupled phase off by ``sigma``.
+
+    The phases of the last 64 sigmas are kept and returned again; an
+    invalid sigma raises on every call.
+    """
     if not abs(sigma) < math.pi / 2.0:
         raise ValueError(f"phase error sigma must satisfy |sigma| < pi/2, got {sigma!r}")
     return FaradayPhases(math.pi + sigma, math.pi / 2.0)

@@ -784,8 +784,13 @@ class TestSweep:
              ["--state", "0.6", "0", "0", "0.3", "-0.2", "0", "0", "0.7141428428542850",
               "--eta", "0.9", "--sweep-axis", "trials", "--sweep-start", "1000",
               "--sweep-stop", "300000", "--sweep-steps", "6", "--seed", "23"]),
+            # the points of an eta_a sweep share one state and one sigma
+            ("sweep_eta.csv",
+             ["--state", "0.6", "0", "0", "0.3", "-0.2", "0", "0", "0.7141428428542850",
+              "--sweep-axis", "eta_a", "--sweep-start", "0.6", "--sweep-stop", "1",
+              "--sweep-steps", "8", "--trials", "20000", "--sigma", "0.05", "--seed", "29"]),
         ],
-        ids=["readme", "theta", "trials"],
+        ids=["readme", "theta", "trials", "eta"],
     )
     def test_table_matches_golden_output(self, name, flags, capsys):
         assert main(["sweep", *flags]) == 0

@@ -23,7 +23,7 @@ from faradaymeter.estimator import (
     estimate_all,
     wilson_interval,
 )
-from faradaymeter.faraday import ideal_phases, perturbed_phases
+from faradaymeter.faraday import FaradayPhases, ideal_phases, perturbed_phases
 from faradaymeter.imperfect import ImperfectionParams
 from faradaymeter.protocol import TwoPhotonState, run_analytic
 
@@ -730,6 +730,99 @@ print(os.waitstatus_to_exitcode(status))
 
     def test_empty_batch(self):
         assert estimate_all([]) == []
+
+
+def mixed_batch():
+    """Runs whose neighbours differ in state, in sigma, in eta_a or in length.
+
+    States A, B, A (the second A an equal copy), one state at two sigmas, a
+    theta point, a run of one trial and, last, a run of 2 ``_MIN_SPAN``
+    trials, which splits on two CPUs.
+    """
+    copy = TwoPhotonState(*SKEWED.amplitudes())
+    theta = TwoPhotonState(math.cos(0.4), 0.0, 0.0, math.sin(0.4))
+    # sigma 0.1 as phases built anew, equal to perturbed_phases(0.1) but not it
+    rebuilt = FaradayPhases(math.pi + 0.1, math.pi / 2.0)
+    runs = [
+        (SKEWED, 0.1, 0.8, 20_000),
+        (BELL, 0.1, 0.8, 20_000),
+        (copy, 0.1, 0.8, 20_000),
+        (SKEWED, 0.2, 0.8, 20_000),
+        (SKEWED, 0.2, 0.6, 20_000),
+        (theta, 0.2, 0.6, 20_000),
+        (SKEWED, 0.2, 0.6, 1),
+        (SKEWED, 0.1, 0.9, 2 * estimator._MIN_SPAN),
+    ]
+    configs = [
+        TrialConfig(n, 500 + index, state, perturbed_phases(sigma),
+                    ImperfectionParams(eta_a=eta, sigma=sigma))
+        for index, (state, sigma, eta, n) in enumerate(runs)
+    ]
+    configs[2] = TrialConfig(20_000, 502, copy, rebuilt, ImperfectionParams(eta_a=0.8, sigma=0.1))
+    return configs
+
+
+class TestMixedBatch:
+    def test_each_run_reports_as_it_would_alone(self, span_log):
+        configs = mixed_batch()
+        caller = threading.current_thread().name
+        half = estimator._MIN_SPAN
+        # the short runs count inline; with the long one the batch is dealt
+        for batch in (configs[:-1], configs):
+            span_log.clear()
+            reports = estimate_all(batch)
+            spans = [(seed, lo, hi) for seed, lo, hi, *_ in span_log]
+            if batch is not configs:
+                assert [counter for *_, counter, _ in span_log] == [caller] * len(batch)
+            assert reports == [estimate(config) for config in batch]
+            assert [passes(report) for report in reports] == [serial_counts(c) for c in batch]
+        assert sorted(spans) == sorted(
+            [(c.master_seed, 0, c.n_trials) for c in configs[:-1]]
+            + [(507, 0, half), (507, half, 2 * half)]
+        )
+
+    def test_a_batch_too_short_to_split_counts_inline(self, monkeypatch):
+        counted = []
+        count_span = estimator._count_span
+
+        def recording(seed, thresholds, lo, hi):
+            counted.append((seed, lo, hi, threading.current_thread().name))
+            return count_span(seed, thresholds, lo, hi)
+
+        def no_cpu_count():
+            raise AssertionError("a batch that cannot split asked for the CPUs")
+
+        monkeypatch.setattr(estimator, "_count_span", recording)
+        monkeypatch.setattr(estimator, "_available_cpus", no_cpu_count)
+        configs = mixed_batch()[:-1]
+        reports = estimate_all(configs)
+        caller = threading.current_thread().name
+        assert counted == [(c.master_seed, 0, c.n_trials, caller) for c in configs]
+        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
+
+    def test_consecutive_runs_of_one_state_and_phases_share_a_sampler(self, monkeypatch):
+        built = []
+        stage_probabilities = estimator.stage_probabilities
+
+        def recording(state, phases):
+            built.append((state, phases))
+            return stage_probabilities(state, phases)
+
+        monkeypatch.setattr(estimator, "stage_probabilities", recording)
+        phases = perturbed_phases(0.05)
+        etas = np.linspace(0.6, 1.0, 8)
+        configs = [
+            TrialConfig(20_000, 40 + index, SKEWED, phases,
+                        ImperfectionParams(eta_a=float(eta), sigma=0.05))
+            for index, eta in enumerate(etas)
+        ]
+        reports = estimate_all(configs)
+        assert built == [(SKEWED, phases)]
+        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
+        built.clear()
+        estimate_all(mixed_batch())
+        # A, B, A, then A at sigma 0.2 for two runs, theta, A twice more
+        assert len(built) == 7
 
 
 class TestTrialStream:

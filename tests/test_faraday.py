@@ -122,6 +122,33 @@ class TestPhases:
         with pytest.raises(ValueError):
             perturbed_phases(math.pi / 2)
 
+    @pytest.mark.parametrize("sigma", [math.pi / 2, -math.pi / 2, 2.0, math.inf, math.nan])
+    def test_invalid_sigma_raises_on_every_call(self, sigma):
+        # an error is never kept, so a repeated bad sigma raises again
+        for _ in range(3):
+            with pytest.raises(ValueError, match="phase error sigma"):
+                perturbed_phases(sigma)
+
+    def test_a_repeated_sigma_gets_the_same_phases(self):
+        assert perturbed_phases(0.125) is perturbed_phases(0.125)
+        assert perturbed_phases(-0.0) == perturbed_phases(0.0) == ideal_phases()
+        assert perturbed_phases(-0.0).phi == math.pi
+
+    def test_each_sigma_type_gets_its_own_phi(self):
+        # the phases of 0.25 as a numpy float hold a numpy phi, as a fresh
+        # build would, whatever was asked for first
+        as_float, as_numpy = perturbed_phases(0.25), perturbed_phases(np.float64(0.25))
+        assert as_float == as_numpy
+        assert type(as_float.phi) is float
+        assert type(as_numpy.phi) is np.float64
+        assert type(perturbed_phases(1).phi) is float
+
+    def test_more_sigmas_than_are_kept(self):
+        sigmas = [k / 1000.0 for k in range(200)]
+        for sigma in sigmas + sigmas:
+            phases = perturbed_phases(sigma)
+            assert (phases.phi, phases.phi0) == (math.pi + sigma, math.pi / 2.0)
+
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
             FaradayPhases(phi=1.0, phi0=0.0, r_modulus=1.5)
