@@ -67,9 +67,17 @@ QUERY_ROUNDS = 100
 # Passes per tree of a comparison; a pass takes about 15 s.
 PASSES = 5
 
+# Runs of 2 * estimator._MIN_SPAN trials or more split over two threads.
+SPLIT_CAVEAT = ("a two-thread figure, which has skewed by whole passes between two columns "
+                "whose control_us agreed, so a change to the split path needs perfbench "
+                "pairs, not this figure")
+
 FIGURES = {
     "record_write_us.analytic": "cli._record on an analytic record (eta 0.9, sigma 0), us per record",
     "record_write_us.oracle": "cli._record on a mixed-state oracle record, us per record",
+    "record_write_us.simulate": f"cli._record on the results of a parsed simulate document "
+                                f"({SIMULATE_TRIALS['1e6']} trials, eta 0.9, sigma 0.05), "
+                                "us per record",
     "parse_config_us.analytic": "cli.parse_config on an analytic document, us per call",
     "parse_config_us.oracle": "cli.parse_config on a density-matrix oracle document, us per call",
     "parse_config_us.sweep": "cli.parse_config on a sweep-dense document (8 points of 20000 "
@@ -102,7 +110,7 @@ FIGURES = {
                       "the seeding every Monte Carlo run pays before its draws, the floor "
                       "under sweep_query_us of 8 such runs",
     "estimate_mtrials_per_s": f"estimator.estimate on {ESTIMATE_TRIALS} trials "
-                              "at eta 0.9, sigma 0.05, median Mtrials/s",
+                              "at eta 0.9, sigma 0.05, median Mtrials/s; " + SPLIT_CAVEAT,
     "count_span_fill_share": f"share of one-thread estimator._count_span time, on "
                              f"{ESTIMATE_TRIALS} trials, that filling the same draws from "
                              "estimator._stream_at into a reused buffer takes; the rest "
@@ -112,7 +120,8 @@ FIGURES = {
     **{
         f"simulate_query_ms.{label}": f"cli.parse_config plus cli.run of a simulate document "
                                       f"({trials} trials, eta 0.9, sigma 0.05), median ms of "
-                                      f"{SIMULATE_REPEATS} queries taking turns with the other size"
+                                      f"{SIMULATE_REPEATS} queries taking turns with the other "
+                                      "size; " + SPLIT_CAVEAT
         for label, trials in SIMULATE_TRIALS.items()
     },
 }
@@ -142,15 +151,18 @@ def state_section(amps: np.ndarray) -> dict:
 
 
 def documents(states: list[np.ndarray]) -> dict[str, list[str]]:
-    """One analytic, one oracle and two sweep documents per state.
+    """One analytic, one oracle, one simulate and two sweep documents per state.
 
     The ``sweep_query`` documents run the sweeps at 1 trial per point, so
     running one times what every point costs before its trials.
     """
-    analytic, oracle, sweep, sweep_query = [], [], [], []
+    analytic, oracle, simulate, sweep, sweep_query = [], [], [], [], []
     for index, amps in enumerate(states):
         state = state_section(amps)
         analytic.append(json.dumps({"mode": "analytic", "state": state, "eta_a": 0.9}))
+        simulate.append(json.dumps({"mode": "simulate", "state": state, "seed": index,
+                                    "trials": SIMULATE_TRIALS["1e6"], "eta_a": 0.9,
+                                    "sigma": 0.05}))
         rho = 0.7 * np.outer(amps, amps.conj()) + 0.075 * np.eye(4)
         matrix = [[[float(e.real), float(e.imag)] for e in row] for row in rho]
         oracle.append(json.dumps({"mode": "oracle", "density_matrix": matrix}))
@@ -162,7 +174,8 @@ def documents(states: list[np.ndarray]) -> dict[str, list[str]]:
         sweep.append(json.dumps(document))
         single = {**SWEEPS[axis], "start": 1.0, "stop": 1.0} if axis == "trials" else SWEEPS[axis]
         sweep_query.append(json.dumps({**document, "trials": 1, "sweep": single}))
-    return {"analytic": analytic, "oracle": oracle, "sweep": sweep, "sweep_query": sweep_query}
+    return {"analytic": analytic, "oracle": oracle, "simulate": simulate, "sweep": sweep,
+            "sweep_query": sweep_query}
 
 
 def control(text: str, matrix: np.ndarray) -> None:
@@ -277,6 +290,10 @@ def measure() -> dict:
         )
         tasks[f"parse_config_us.{mode}"] = (cli.parse_config, [(text,) for text in docs[mode]])
         tasks[f"exact_run_us.{mode}"] = (run_mode, [(config,) for config in configs])
+    simulated = [cli.parse_config(text) for text in docs["simulate"]]
+    tasks["record_write_us.simulate"] = (
+        cli._record, [(config, cli._run_simulate(config)) for config in simulated]
+    )
     matrices = [(cli.parse_config(text).density_matrix,) for text in docs["oracle"]]
     tasks["concurrence_mixed_us"] = (concurrence_mixed, matrices)
     text = docs["oracle"][0]

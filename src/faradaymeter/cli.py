@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -32,8 +33,9 @@ from .oracle import concurrence_mixed, concurrence_pure, concurrence_pure_genera
 from .protocol import TwoPhotonState, _norm, _scaled, run_analytic
 
 log = logging.getLogger("faradaymeter")
-# used as a library, the package prints no warning unless its caller
-# configures logging; main does, through basicConfig
+# used as a library, this logger prints nothing unless its caller configures
+# logging; main does, through basicConfig.  A phase-error UserWarning still
+# goes through warnings, naming the caller's line, except under main.
 log.addHandler(logging.NullHandler())
 
 CONFIG_SCHEMA = "faradaymeter-config/1"
@@ -335,66 +337,7 @@ def _echo_inputs(config: RunConfig) -> dict:
     return inputs
 
 
-_encode_str = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
-_INF = math.inf
-
-
-def _nonfinite_text(value: float) -> str:
-    return "NaN" if value != value else "Infinity" if value > 0.0 else "-Infinity"
-
-
-def _write_json(value, chunks: list, newline: str = "\n") -> None:
-    """Append the text of ``json.dumps(value, indent=2, sort_keys=True)`` to ``chunks``.
-
-    The same bytes in one pass: json's own writer falls back to a
-    generator per container whenever it indents.  ``newline`` is the line
-    break plus the indent of the level ``value`` sits at.  Subclasses of
-    the JSON types (``np.float64``) are written as their base type; any
-    other type, and a key that is not a ``str``, raise ``TypeError``.
-    """
-    kind = type(value)
-    if kind is float:
-        chunks.append(_float_repr(value) if -_INF < value < _INF else _nonfinite_text(value))
-    elif kind is str:
-        chunks.append(_encode_str(value))
-    elif kind is dict:
-        if not value:
-            chunks.append("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            chunks.append(separator + _encode_str(key) + ": ")
-            _write_json(value[key], chunks, inner)
-            separator = "," + inner
-        chunks.append(newline + "}")
-    elif kind is list or kind is tuple:
-        if not value:
-            chunks.append("[]")
-            return
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            chunks.append(separator)
-            _write_json(item, chunks, inner)
-            separator = "," + inner
-        chunks.append(newline + "]")
-    elif kind is int:
-        chunks.append(int.__repr__(value))
-    elif value is None:
-        chunks.append("null")
-    elif kind is bool:
-        chunks.append("true" if value else "false")
-    else:
-        # json.dumps tests a subclass in this order
-        base = next((base for base in (str, int, float, list, tuple, dict)
-                     if isinstance(value, base)), None)
-        if base is None:
-            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-        _write_json(base(value), chunks, newline)
 
 
 def _record_tree(config: RunConfig, results: dict) -> dict:
@@ -412,21 +355,20 @@ def _record_tree(config: RunConfig, results: dict) -> dict:
 
 
 def _written(record: dict) -> str:
-    chunks: list[str] = []
-    _write_json(record, chunks)
-    chunks.append("\n")
-    return "".join(chunks)
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
 def _record(config: RunConfig, results: dict) -> str:
-    """The record text; an analytic or oracle one without ``out`` is filled into its layout.
+    """The record text: ``json.dumps(record, indent=2, sort_keys=True)`` and a newline.
 
-    Its numbers go in the writer's order, which sorts every key: the scalar
-    inputs (only analytic has any, sorting before ``state``), the [re, im]
-    pairs of the state (alpha, beta, delta, gamma) or of the matrix, then the
-    results.  Each is a finite float: parsing checks the state's norm, eta_a
-    and sigma, the oracle rejects a non-finite matrix, and every result is a
-    concurrence or a product, ratio, clamp or square root of stage weights.
+    An analytic or oracle record without ``out`` is filled into its layout,
+    which holds those bytes.  Its numbers go in json's order, which sorts
+    every key: the scalar inputs (only analytic has any, sorting before
+    ``state``), the [re, im] pairs of the state (alpha, beta, delta, gamma)
+    or of the matrix, then the results.  Each is a finite float: parsing
+    checks the state's norm, eta_a and sigma, the oracle rejects a
+    non-finite matrix, and every result is a concurrence or a product,
+    ratio, clamp or square root of stage weights.
     """
     if config.out is not None or config.mode not in ("analytic", "oracle"):
         return _written(_record_tree(config, results))
@@ -465,14 +407,15 @@ def _slotted(value):
 def _layout(mode: str, given: str) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
     """The text of a ``mode`` record of input ``given`` without ``out``, a ``%s`` at each number.
 
-    ``_write_json`` writes it, from a placeholder record whose every number
-    is ``_SLOT``, so the JSON spelling has one source.  Also returned: the
-    keys of the record's scalar inputs and float results, each sorted.
+    ``_written`` writes it, from a placeholder record whose every number is
+    ``_SLOT``, so ``json.dumps`` is the one JSON spelling of every record.
+    Built once per process.  Also returned: the keys of the record's scalar
+    inputs and float results, each sorted.
     """
     config = _config_from_mapping({"mode": mode, given: _PLACEHOLDERS[given]})
     results = _MODES[mode].run(config)
     record = _record_tree(config, results)
-    text = _written(_slotted(record)).replace("%", "%%").replace(_encode_str(_SLOT), "%s")
+    text = _written(_slotted(record)).replace("%", "%%").replace(json.dumps(_SLOT), "%s")
     scalars = tuple(key for key in sorted(record["inputs"]) if key in _SCALARS)
     return text, scalars, tuple(key for key in sorted(results) if type(results[key]) is float)
 
@@ -660,18 +603,21 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     args = _build_parser().parse_args(argv)
-    try:
-        data = {}
-        if args.config is not None:
-            try:
-                with open(args.config, "r", encoding="utf-8") as handle:
-                    data = _load_document(handle.read())
-            except OSError as exc:
-                raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-        return run(_config_from_mapping(_merge_flags(data, args)))
-    except (FaradaymeterError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    with warnings.catch_warnings():
+        # a warning of the run prints as the logger's other notices do
+        warnings.showwarning = lambda message, *_: log.warning("%s", message)
+        try:
+            data = {}
+            if args.config is not None:
+                try:
+                    with open(args.config, "r", encoding="utf-8") as handle:
+                        data = _load_document(handle.read())
+                except OSError as exc:
+                    raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
+            return run(_config_from_mapping(_merge_flags(data, args)))
+        except (FaradaymeterError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

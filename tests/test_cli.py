@@ -1047,6 +1047,26 @@ class TestMain:
             parse_config(text)
         assert capfd.readouterr().err == ""
 
+    # the sweep's points are 0, 0.3, 0.6 and 0.9, the last alone at or beyond pi/4
+    @pytest.mark.parametrize(
+        "flags, document",
+        [(["analytic", "--sigma", "0.9"], {"mode": "analytic", "sigma": 0.9}),
+         (["sweep", "--trials", "1000", "--sweep-axis", "sigma", "--sweep-start", "0",
+           "--sweep-stop", "0.9", "--sweep-steps", "4"],
+          {"mode": "sweep", "trials": 1000,
+           "sweep": {"axis": "sigma", "start": 0.0, "stop": 0.9, "steps": 4}})],
+        ids=["analytic", "sigma_sweep"],
+    )
+    def test_large_sigma_warns_once_through_the_logger(self, flags, document):
+        command = [sys.executable, "-m", "faradaymeter", *flags, *BELL_FLAGS]
+        done = subprocess.run(command, capture_output=True, check=True, text=True)
+        assert done.stderr == ("WARNING: phase error sigma=0.9 is outside the small-error "
+                               "regime |sigma| < pi/4\n")
+        # the library still raises the warning, and the payload is the library's
+        with pytest.warns(UserWarning, match="sigma=0.9"):
+            payload = capture(parse_config(json.dumps({**document, "state": BELL_STATE})))
+        assert done.stdout == payload
+
     @pytest.mark.parametrize(
         "key, bad, start, stop",
         [("eta_a", 0, 0.0, 0.5), ("trials", 0, 0.4, 1000), ("sigma", 1.6, 0.0, -1.6)],
