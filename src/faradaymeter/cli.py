@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -306,6 +307,8 @@ def _load_document(text: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError("config nests too deeply to decode") from None
     if not isinstance(data, dict):
         raise ConfigError("config document must be a mapping")
     return data
@@ -458,9 +461,7 @@ def _trial_config(
             eta_a = value
         else:
             sigma = value
-    # the imperfections first, so that a bad sigma raises their error
-    imperfections = ImperfectionParams(eta_a, sigma)
-    return TrialConfig(trials, seed, state, perturbed_phases(sigma), imperfections)
+    return TrialConfig(trials, seed, state, perturbed_phases(sigma), ImperfectionParams(eta_a, sigma))
 
 
 def _run_simulate(config: RunConfig) -> dict:
@@ -487,9 +488,17 @@ def _run_phases(config: RunConfig) -> dict:
     return {**vars(phases), "rotation_angle": phases.rotation_angle}
 
 
+# catch_warnings swaps the process's warning filters and puts them back on
+# exit, which holds only while no other caller swaps them in between
+_filters_lock = threading.Lock()
+
+
 def _run_sweep(config: RunConfig) -> str:
     values = config.sweep.values()
-    points = [_trial_config(config, index, value) for index, value in enumerate(values)]
+    with _filters_lock, warnings.catch_warnings():
+        # a large sigma warned when _check_ranges built the end points, which bound the rest
+        warnings.simplefilter("ignore", UserWarning)
+        points = [_trial_config(config, index, value) for index, value in enumerate(values)]
     reports = estimate_all(points)
     # every cell is a finite float and no header name needs quoting, so these
     # lines are the ones csv.writer would write
@@ -612,7 +621,7 @@ def main(argv=None) -> int:
                 try:
                     with open(args.config, "r", encoding="utf-8") as handle:
                         data = _load_document(handle.read())
-                except OSError as exc:
+                except (OSError, UnicodeDecodeError) as exc:
                     raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
             return run(_config_from_mapping(_merge_flags(data, args)))
         except (FaradaymeterError, ValueError) as exc:

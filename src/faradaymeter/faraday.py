@@ -125,11 +125,12 @@ class FaradayPhases:
     r0_modulus: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (-1e-9 <= self.r_modulus <= 1.0 + 1e-9 and -1e-9 <= self.r0_modulus <= 1.0 + 1e-9):
-            for name in ("r_modulus", "r0_modulus"):
-                value = getattr(self, name)
+        for name, value in vars(self).items():
+            if name.endswith("modulus"):
                 if not -1e-9 <= value <= 1.0 + 1e-9:
                     raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+            elif not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     @property
     def rotation_angle(self) -> float:

@@ -35,8 +35,8 @@ class ImperfectionParams:
     """Detector efficiency and coupled-phase error for one run.
 
     ``eta_a`` must lie in (0, 1] and have a nonzero cube (above about
-    1.4e-108): the correction divides by eta_a**3.  Any ``|sigma| < pi/2``
-    is accepted, but no record corrects the phase error and its bias grows
+    1.4e-108): the correction divides by eta_a**3.  ``perturbed_phases``
+    checks sigma, but no record corrects the phase error and its bias grows
     with sigma (2 sqrt(p_total) is off by up to about 0.6 at sigma 0.5), so
     values at or beyond pi/4 trigger a warning.
     """
@@ -49,8 +49,7 @@ class ImperfectionParams:
             raise ValueError(f"eta_a must lie in (0, 1], got {self.eta_a!r}")
         if self.eta_a**3 == 0.0:
             raise ValueError(f"eta_a is too small: eta_a**3 underflows to 0, got {self.eta_a!r}")
-        if not abs(self.sigma) < math.pi / 2.0:
-            raise ValueError(f"sigma must satisfy |sigma| < pi/2, got {self.sigma!r}")
+        perturbed_phases(self.sigma)  # raises for a sigma outside its domain
         if abs(self.sigma) >= _SOFT_SIGMA_BOUND:
             # stacklevel 3 skips this method and the generated __init__, so
             # the warning names the line that built the parameters

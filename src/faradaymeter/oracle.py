@@ -35,17 +35,23 @@ def concurrence_pure(state: TwoPhotonState) -> float:
     return min(1.0, value)
 
 
+def _pure_vector(psi) -> np.ndarray:
+    """``psi`` as a complex 4-vector, rejected unless finite and normalized to within 1e-10."""
+    vec = np.asarray(psi, dtype=complex).reshape(-1)
+    if vec.shape != (4,):
+        raise ValueError(f"expected 4 amplitudes, got shape {np.shape(psi)}")
+    if not abs(np.linalg.norm(vec) - 1.0) <= _HERMITIAN_TOL:
+        raise ValueError("pure-state vector must be normalized")
+    return vec
+
+
 def concurrence_pure_general(psi) -> float:
     """Spin-flip concurrence |psi^T (sigma_y x sigma_y) psi| of a pure 4-vector.
 
     The vector is ordered |00>, |01>, |10>, |11> with the first qubit in the
     leading slot, and must be normalized to within 1e-10.
     """
-    vec = np.asarray(psi, dtype=complex).reshape(-1)
-    if vec.shape != (4,):
-        raise ValueError(f"expected 4 amplitudes, got shape {np.shape(psi)}")
-    if abs(np.linalg.norm(vec) - 1.0) > _HERMITIAN_TOL:
-        raise ValueError("pure-state vector must be normalized")
+    vec = _pure_vector(psi)
     return min(1.0, float(abs(vec @ (SIGMA_YY @ vec))))
 
 
@@ -93,9 +99,5 @@ def concurrence_mixed(rho) -> float:
 
 def density_from_pure(psi) -> np.ndarray:
     """Rank-one density matrix |psi><psi| of a normalized 4-vector."""
-    vec = np.asarray(psi, dtype=complex).reshape(-1)
-    if vec.shape != (4,):
-        raise ValueError(f"expected 4 amplitudes, got shape {np.shape(psi)}")
-    if abs(np.linalg.norm(vec) - 1.0) > _HERMITIAN_TOL:
-        raise ValueError("pure-state vector must be normalized")
+    vec = _pure_vector(psi)
     return np.outer(vec, vec.conj())

@@ -8,6 +8,8 @@ import math
 import re
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -836,6 +838,27 @@ class TestMain:
         assert main(["analytic", "--config", "/nonexistent.json"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    # a document nested past the recursion limit used to end in a traceback
+    # and exit 1, and one that is not UTF-8 in a codec message without the file
+    @pytest.mark.parametrize(
+        "content, message",
+        [(("[" * 200_000 + "]" * 200_000).encode(), "config nests too deeply to decode"),
+         (b'{"mode": "analytic", "out": "\xff"}', "cannot read config {path!r}: 'utf-8' codec")],
+        ids=["nested", "not-utf-8"],
+    )
+    def test_undecodable_config_is_a_config_error(self, content, message, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert main(["--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: " + message.format(path=str(path)))
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_nested_document_is_a_config_error_in_parse_config(self):
+        with pytest.raises(ConfigError, match="nests too deeply"):
+            parse_config("[" * 200_000 + "]" * 200_000)
+
     def test_config_error_exit_code(self, capsys):
         assert main(["analytic", "--state", "1", "0", "1", "0", "1", "0", "1", "0"]) == 2
         assert "norm" in capsys.readouterr().err
@@ -1012,6 +1035,22 @@ class TestMain:
         assert offending in captured.err
         assert captured.out == ""
 
+    # perturbed_phases owns the domain of sigma, so every path reads its message
+    @pytest.mark.parametrize(
+        "flags",
+        [["analytic", "--sigma", "2.0"], ["simulate", "--trials", "100", "--sigma", "2.0"],
+         ["sweep", "--trials", "100", "--sweep-axis", "sigma", "--sweep-start", "0",
+          "--sweep-stop", "2.0", "--sweep-steps", "3"],
+         ["sweep", "--trials", "100", "--sigma", "2.0", "--sweep-axis", "eta_a",
+          "--sweep-start", "0.5", "--sweep-stop", "1", "--sweep-steps", "3"]],
+        ids=["analytic", "simulate", "sigma_sweep", "eta_sweep"],
+    )
+    def test_out_of_range_sigma_reads_one_message(self, flags, capsys):
+        assert main([*flags, *BELL_FLAGS]) == 2
+        captured = capsys.readouterr()
+        assert "phase error sigma must satisfy |sigma| < pi/2, got 2.0\n" in captured.err
+        assert captured.out == ""
+
     # no point runs the top-level value of the swept key, so it is reported
     # and not range-checked: each of these lies outside its key's range,
     # or for sigma 1.2 in the large-error regime that warns when run
@@ -1066,6 +1105,44 @@ class TestMain:
         with pytest.warns(UserWarning, match="sigma=0.9"):
             payload = capture(parse_config(json.dumps({**document, "state": BELL_STATE})))
         assert done.stdout == payload
+
+    # the end points warn when the config is checked; the 48 points between
+    # them used to warn again when the sweep ran, one line each
+    def test_large_sigma_sweep_warns_for_its_end_points_only(self):
+        flags = ["sweep", "--trials", "100", "--sweep-axis", "sigma", "--sweep-start", "0.8",
+                 "--sweep-stop", "0.9", "--sweep-steps", "50", *BELL_FLAGS]
+        done = subprocess.run([sys.executable, "-m", "faradaymeter", *flags],
+                              capture_output=True, check=True, text=True)
+        assert done.stderr == "".join(
+            f"WARNING: phase error sigma={sigma} is outside the small-error regime |sigma| < pi/4\n"
+            for sigma in (0.8, 0.9)
+        )
+        assert len(done.stdout.splitlines()) == 51
+
+    # the filters are the process's, so two sweeps that swapped them at once
+    # would let points warn and could leave an ignore filter behind
+    @pytest.mark.parametrize("callers", [1, 2])
+    def test_sweep_runs_add_no_warning_and_leave_the_filters(self, callers):
+        sweep = {"axis": "sigma", "start": 0.8, "stop": 0.9, "steps": 1000}
+        with pytest.warns(UserWarning) as parsed:
+            config = parse_config(json.dumps({"mode": "sweep", "state": BELL_STATE,
+                                              "trials": 1, "sweep": sweep}))
+        assert [str(warning.message).split()[2] for warning in parsed] == ["sigma=0.8", "sigma=0.9"]
+
+        def sweeps():
+            for _ in range(5):
+                run(config, io.StringIO())
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            filters = list(warnings.filters)
+            callers = [threading.Thread(target=sweeps) for _ in range(callers)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join()
+            assert warnings.filters == filters
+        assert caught == []
 
     @pytest.mark.parametrize(
         "key, bad, start, stop",

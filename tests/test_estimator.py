@@ -151,6 +151,8 @@ LAW_CASES = {"skewed": (SKEWED, 0.1, 0.8), "near_separable": (NEAR_SEPARABLE, 0.
 LAW_SEEDS = 200
 LAW_TRIALS = 20_000
 LAW_P_VALUE = 1e-4
+MOMENT_SEEDS = 1000
+MOMENT_TRIALS = 2000
 
 
 def chi2_sf_even(x, dof):
@@ -218,6 +220,31 @@ class TestTrialLaw:
         wrong = q2 / eta
         observed = n * np.array([1.0 - q1, q1 - wrong, wrong])
         assert chi2_sf_even(float(((observed - expected) ** 2 / expected).sum()), 2) < LAW_P_VALUE
+
+    def test_count_moments_over_seeds(self):
+        # a run's counts are s1 = a + s2 and s2, where (n - s1, a, s2) is multinomial with
+        # probabilities (1 - q1, q1 - q2, q2), so E s1 = n q1, E s2 = n q2,
+        # Var s2 = n q2 (1 - q2) and Cov(s1, s2) = Var s2 + Cov(a, s2) = n q2 (1 - q1)
+        state, sigma, eta = LAW_CASES["skewed"]
+        phases = perturbed_phases(sigma)
+        q1, q2 = TrialSampler(state, phases).thresholds(eta)
+        imperfections = ImperfectionParams(eta_a=eta, sigma=sigma)
+        reports = estimate_all([TrialConfig(MOMENT_TRIALS, seed, state, phases, imperfections)
+                                for seed in range(MOMENT_SEEDS)])
+        n = MOMENT_TRIALS
+        stage1 = np.array([report.stage1_successes for report in reports]) - n * q1
+        stage2 = np.array([report.stage2_successes for report in reports]) - n * q2
+        # each moment is the mean over seeds of one figure per seed, centred on
+        # the law's means, so its standard error is that figure's spread over sqrt(seeds)
+        moments = {
+            "stage-1 mean": (stage1, 0.0),
+            "stage-2 mean": (stage2, 0.0),
+            "stage-2 variance": (stage2**2, n * q2 * (1.0 - q2)),
+            "covariance": (stage1 * stage2, n * q2 * (1.0 - q1)),
+        }
+        for name, (figure, expected) in moments.items():
+            standard_error = figure.std(ddof=1) / math.sqrt(MOMENT_SEEDS)
+            assert abs(figure.mean() - expected) < 5.0 * standard_error, name
 
     def test_chi2_sf_even_matches_known_values(self):
         assert chi2_sf_even(0.0, 2) == 1.0

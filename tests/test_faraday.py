@@ -153,6 +153,14 @@ class TestPhases:
         with pytest.raises(ValueError):
             FaradayPhases(phi=1.0, phi0=0.0, r_modulus=1.5)
 
+    # a NaN phi used to reach run_analytic, which reported p_total 1.0 and c_estimate 2.0
+    @pytest.mark.parametrize("field", ["phi", "phi0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_is_rejected(self, field, value):
+        fields = {"phi": math.pi, "phi0": math.pi / 2.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {value!r}"):
+            FaradayPhases(**fields)
+
 
 class TestInteractionTable:
     def test_ideal_assignments(self):

@@ -39,6 +39,14 @@ class TestParams:
         with pytest.raises(ValueError):
             ImperfectionParams(sigma=math.pi / 2)
 
+    @pytest.mark.parametrize("sigma", [math.pi / 2, -2.0, math.inf, math.nan])
+    def test_sigma_domain_and_message_are_perturbed_phases(self, sigma):
+        with pytest.raises(ValueError) as expected:
+            perturbed_phases(sigma)
+        with pytest.raises(ValueError) as raised:
+            ImperfectionParams(sigma=sigma)
+        assert str(raised.value) == str(expected.value)
+
     def test_large_sigma_warns(self):
         with pytest.warns(UserWarning, match="small-error"):
             ImperfectionParams(sigma=0.9)

@@ -63,6 +63,14 @@ class TestPureGeneral:
         with pytest.raises(ValueError):
             concurrence_pure_general([1, 1, 0, 0])
 
+    # a NaN norm used to pass the check, and the concurrence read 1.0
+    @pytest.mark.parametrize("reference", [concurrence_pure_general, density_from_pure])
+    @pytest.mark.parametrize("vector", [[math.nan, 0, 0, 0], [SQ2, 0, 0, complex(0, math.nan)],
+                                        [math.inf, 0, 0, 0]], ids=["nan", "nan-imag", "inf"])
+    def test_non_finite_vector_is_rejected(self, reference, vector):
+        with pytest.raises(ValueError, match="must be normalized"):
+            reference(vector)
+
 
 class TestDensityValidation:
     def test_accepts_valid(self):
