@@ -30,6 +30,7 @@ import subprocess
 import sys
 import time
 from functools import partial
+from inspect import signature
 from io import StringIO
 from pathlib import Path
 from statistics import median
@@ -107,16 +108,16 @@ FIGURES = {
                             "us per call",
     "sampler_setup_us": "estimator.TrialSampler(state, perturbed_phases(0.05)), us per build",
     "stream_seed_us": f"estimator._stream_at(seed, 0) over {STATES} 64-bit seeds, us per call: "
-                      "the seeding every Monte Carlo run pays before its draws, the floor "
-                      "under sweep_query_us of 8 such runs",
+                      "the seeding each seed of a batch pays before its draws, once per "
+                      "sweep, whose points share the sweep's seed",
     "estimate_mtrials_per_s": f"estimator.estimate on {ESTIMATE_TRIALS} trials "
                               "at eta 0.9, sigma 0.05, median Mtrials/s; " + SPLIT_CAVEAT,
-    "count_span_fill_share": f"share of one-thread estimator._count_span time, on "
+    "count_span_fill_share": f"share of one-thread estimator._count_span time, on one run of "
                              f"{ESTIMATE_TRIALS} trials, that filling the same draws from "
                              "estimator._stream_at into a reused buffer takes; the rest "
                              "is the two compares and counts, medians",
-    "count_span_mtrials_per_s": f"estimator._count_span on {ESTIMATE_TRIALS} trials "
-                                "on the calling thread, median Mtrials/s",
+    "count_span_mtrials_per_s": f"estimator._count_span on one run of {ESTIMATE_TRIALS} "
+                                "trials on the calling thread, median Mtrials/s",
     **{
         f"simulate_query_ms.{label}": f"cli.parse_config plus cli.run of a simulate document "
                                       f"({trials} trials, eta 0.9, sigma 0.05), median ms of "
@@ -256,6 +257,11 @@ def estimate_figures(amps: np.ndarray) -> dict[str, float]:
         config.imperfections.eta_a
     )
     n = ESTIMATE_TRIALS
+    # _count_span takes the runs of one seed, here one run; before sweep
+    # points shared their sweep's seed it took the (q1, q2) of one run
+    runs = [(*thresholds, n)]
+    if "runs" not in signature(estimator._count_span).parameters:
+        runs = thresholds
     rows = min(n, estimator._BUFFER_TRIALS)
     buffer = np.empty(rows)
 
@@ -267,7 +273,7 @@ def estimate_figures(amps: np.ndarray) -> dict[str, float]:
 
     calls = {
         "estimate": lambda: estimate(config),
-        "count_span": lambda: estimator._count_span(config.master_seed, thresholds, 0, n),
+        "count_span": lambda: estimator._count_span(config.master_seed, runs, 0, n),
         "fill": fill,
     }
     seconds = timed_rounds(calls, ESTIMATE_REPEATS)

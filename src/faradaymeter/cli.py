@@ -283,8 +283,8 @@ def _check_ranges(config: RunConfig) -> None:
 
     A sweep along a scalar builds the runs of its end points instead of the
     top-level run, whose value of the axis no point reads: every range is an
-    interval, so the end points cover the points between.  Its first end
-    point is built at the seed as given, since the points' seeds wrap.
+    interval, so the end points cover the points between, and every point
+    runs at the seed as given.
     """
     reads = _MODES[config.mode].reads
     sweep = config.sweep
@@ -292,8 +292,8 @@ def _check_ranges(config: RunConfig) -> None:
     try:
         if sweep is not None and sweep.axis in _SCALARS:
             context = "sweep: "
-            _trial_config(config, value=sweep.start)
-            _trial_config(config, sweep.steps - 1, sweep.stop)
+            _trial_config(config, sweep.start)
+            _trial_config(config, sweep.stop)
         elif "trials" in reads:
             _trial_config(config)
         elif "eta_a" in reads:
@@ -437,20 +437,16 @@ def _run_analytic(config: RunConfig) -> dict:
     }
 
 
-def _trial_config(
-    config: RunConfig, index: int | None = None, value: float | None = None
-) -> TrialConfig:
-    """The Monte Carlo run of ``simulate`` or, given ``index``, of sweep point ``index``.
+def _trial_config(config: RunConfig, value: float | None = None) -> TrialConfig:
+    """The Monte Carlo run of ``simulate`` or, given ``value``, of the sweep point at ``value``.
 
     The run takes the state, trials, seed, eta_a and sigma of ``config``.
-    A sweep point at ``value`` replaces the input of its axis (theta runs
-    cos(theta)|RR> + sin(theta)|LL>) and runs at seed ``(seed + index) mod
-    2**64``; without ``index`` the seed is taken as given.
+    A sweep point replaces the input of its axis (theta runs
+    cos(theta)|RR> + sin(theta)|LL>) and keeps the seed, so its run is the
+    ``simulate`` run of its point and every point reads one stream.
     """
     state, trials, seed = config.state, config.trials, config.seed
     eta_a, sigma = config.eta_a, config.sigma
-    if index is not None:
-        seed = (seed + index) % 2**64
     if value is not None:
         axis = config.sweep.axis
         if axis == "theta":
@@ -498,7 +494,7 @@ def _run_sweep(config: RunConfig) -> str:
     with _filters_lock, warnings.catch_warnings():
         # a large sigma warned when _check_ranges built the end points, which bound the rest
         warnings.simplefilter("ignore", UserWarning)
-        points = [_trial_config(config, index, value) for index, value in enumerate(values)]
+        points = [_trial_config(config, value) for value in values]
     reports = estimate_all(points)
     # every cell is a finite float and no header name needs quoting, so these
     # lines are the ones csv.writer would write

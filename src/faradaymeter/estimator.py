@@ -13,25 +13,30 @@ the configuration: trials can be batched or split across workers without
 changing a single outcome.
 
 ``estimate_all`` runs a batch of configurations, such as the points of a
-sweep; ``estimate`` is a batch of one.  One sampler, and so one exact
-evaluation of the protocol, serves each stretch of consecutive runs of one
-state and phases: the 8 points of an ``eta_a`` or ``trials`` sweep share
-one.  A batch that does not split, one under ``2 * _MIN_SPAN`` trials in
-all, such as a sweep of 8 points of 20000 trials, or one on a single CPU,
-is counted inline: each run is one span on the calling thread, in order,
-so a point pays for its stream seeding, its draws and its report and
-starts no thread.  A batch that splits runs on the calling thread and up
-to ``_MAX_WORKERS - 1`` helper threads (numpy's PCG64DXSM fill and ufuncs
-release the interpreter lock), one per ``_MIN_SPAN`` trials: below that,
-waking one costs more than it saves.  The helpers belong to one pool per
-process, started by the first batch that splits and kept for the next; a
-forked child starts its own.  Each run is cut into contiguous trial spans,
-a long run into more spans than a short one, and the workers take spans
-off one shared iterator until it is empty.  The caller then cancels every
-helper that has not started, so a helper that wakes late costs nothing.
-A span is the stream advanced to draw ``lo`` and read on into a small
-buffer the worker reuses; per buffer, one compare against ``q1`` and one
-against ``q2`` give its two counts.
+sweep; ``estimate`` is a batch of one.  The runs of one seed read one
+stream, each the first ``n_trials`` doubles of it, so the batch fills each
+seed's draws once, as many as its longest run reads, and compares each
+block against the thresholds of every run that reaches into it: the 8
+points of a sweep, which share the sweep's seed, cost one seeding and one
+fill.  One sampler, and so one exact evaluation of the protocol, serves
+each stretch of consecutive runs of one state and phases: the 8 points of
+an ``eta_a`` or ``trials`` sweep share one.  A batch that does not split,
+one that reads under ``2 * _MIN_SPAN`` draws in all, such as a sweep of 8
+points of 20000 trials, or one on a single CPU, is counted inline: each
+seed's runs are one span on the calling thread, in order of first
+appearance, and start no thread.  A batch that splits runs on the calling
+thread and up to ``_MAX_WORKERS - 1`` helper threads (numpy's PCG64DXSM
+fill and ufuncs release the interpreter lock), one per ``_MIN_SPAN``
+draws: below that, waking one costs more than it saves.  The helpers
+belong to one pool per process, started by the first batch that splits
+and kept for the next; a forked child starts its own.  Each seed's stream
+is cut into contiguous spans, a long one into more spans than a short
+one, and the workers take spans off one shared iterator until it is
+empty.  The caller then cancels every helper that has not started, so a
+helper that wakes late costs nothing.  A span is the stream advanced to
+draw ``lo`` and read on into a small buffer the worker reuses; per buffer
+and per run, one compare against ``q1`` and one against ``q2`` give its
+two counts.
 """
 
 from __future__ import annotations
@@ -191,29 +196,35 @@ def _available_cpus() -> int:
 
 
 def _count_span(
-    master_seed: int, thresholds: tuple[float, float], lo: int, hi: int
-) -> tuple[int, int]:
-    """Stage-1 and stage-2 passes among trials ``lo <= i < hi``.
+    master_seed: int, runs: Sequence[tuple[float, float, int]], lo: int, hi: int
+) -> list[tuple[int, int]]:
+    """Stage-1 and stage-2 passes of each run of ``master_seed`` among its trials ``lo <= i < hi``.
 
-    ``thresholds`` is the run's ``(q1, q2)``.  The reused draw buffer holds
-    ``_BUFFER_TRIALS`` trials, but no more than the span.
+    A run is ``(q1, q2, n_trials)`` and stops at its own ``n_trials``, so
+    the runs share each block of draws: the block is filled once into a
+    reused buffer of ``_BUFFER_TRIALS`` trials, but no more than the span,
+    and compared against the thresholds of every run that reaches into it.
     """
-    q1, q2 = thresholds
     rows = min(hi - lo, _BUFFER_TRIALS)
     gen = _stream_at(master_seed, lo)
     draws = np.empty(rows)
     hits = np.empty(rows, dtype=np.bool_)
-    stage1 = 0
-    stage2 = 0
+    counts = [[0, 0] for _ in runs]
     for start in range(lo, hi, rows):
         if hi - start < rows:  # the last block of a span longer than the buffer
             draws, hits = draws[:hi - start], hits[:hi - start]
         gen.random(out=draws)
-        np.less(draws, q1, out=hits)
-        stage1 += np.count_nonzero(hits)
-        np.less(draws, q2, out=hits)
-        stage2 += np.count_nonzero(hits)
-    return int(stage1), int(stage2)
+        for (q1, q2, n), tally in zip(runs, counts):
+            block, mask = draws, hits
+            if n - start < len(draws):  # the run ends before this block does
+                if n <= start:
+                    continue
+                block, mask = draws[:n - start], hits[:n - start]
+            np.less(block, q1, out=mask)
+            tally[0] += np.count_nonzero(mask)
+            np.less(block, q2, out=mask)
+            tally[1] += np.count_nonzero(mask)
+    return [(int(stage1), int(stage2)) for stage1, stage2 in counts]
 
 
 def _helpers():
@@ -238,10 +249,11 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _count_tasks(tasks: list[tuple], workers: int) -> list[tuple[int, tuple[int, int]]]:
-    """``(run index, (stage-1, stage-2 passes))`` of every span task.
+def _count_tasks(tasks: list[tuple], workers: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """``(group index, counts of each of its runs)`` of every span task.
 
-    A task is ``(run index, seed, (q1, q2), lo, hi)``.  The calling thread
+    A task is ``(group index, seed, runs, lo, hi)``, its ``runs`` those of
+    one seed as ``_count_span`` takes them.  The calling thread
     and ``workers - 1`` helpers sent to the process's pool each take the
     next task off one shared iterator until it is empty.  The caller then
     cancels the helpers that have not started and waits only for the
@@ -258,8 +270,8 @@ def _count_tasks(tasks: list[tuple], workers: int) -> list[tuple[int, tuple[int,
                 task = next(pending, None)
             if task is None:
                 return
-            index, seed, thresholds, lo, hi = task
-            counted.append((index, _count_span(seed, thresholds, lo, hi)))
+            group, seed, runs, lo, hi = task
+            counted.append((group, _count_span(seed, runs, lo, hi)))
 
     helpers = [_helpers().submit(work) for _ in range(workers - 1)]
     try:
@@ -298,55 +310,77 @@ def _thresholds(configs: Sequence[TrialConfig]) -> list[tuple[float, float]]:
     return thresholds
 
 
-def _dealt_counts(
-    configs: Sequence[TrialConfig], thresholds: list, cpus: int, total: int
-) -> list[list[int]]:
-    """The counts of each run, its spans dealt out to ``cpus`` workers."""
+def _seed_groups(configs: Sequence[TrialConfig]) -> list[tuple[int, int, list[int], list[tuple]]]:
+    """``(seed, draws, run indices, runs)`` of each distinct seed, in order of first appearance.
+
+    A run is ``(q1, q2, n_trials)``, as ``_count_span`` takes it; ``draws``
+    is the longest run's ``n_trials``, the part of the stream the runs read.
+    """
+    groups: dict[int, tuple[list[int], list[tuple]]] = {}
+    for index, (config, (q1, q2)) in enumerate(zip(configs, _thresholds(configs))):
+        indices, runs = groups.setdefault(config.master_seed, ([], []))
+        indices.append(index)
+        runs.append((q1, q2, config.n_trials))
+    return [(seed, max([n for *_, n in runs]), indices, runs)
+            for seed, (indices, runs) in groups.items()]
+
+
+def _dealt_counts(groups: list[tuple], cpus: int, draws: int) -> list[list[list[int]]]:
+    """The counts of each run of each group, the groups' spans dealt out to ``cpus`` workers."""
     tasks = []
-    for index, (config, q) in enumerate(zip(configs, thresholds)):
-        n = config.n_trials
-        # spans in proportion to the run's share of the batch, at most one
-        # per CPU and per _MIN_SPAN trials, so a batch of one run splits as
-        # far as its length allows and a run under 2 _MIN_SPAN never splits
-        parts = max(1, min(cpus, n // _MIN_SPAN, round(cpus * n / total)))
+    for group, (seed, n, _, runs) in enumerate(groups):
+        # spans in proportion to the group's share of the batch's draws, at
+        # most one per CPU and per _MIN_SPAN draws, so a batch of one seed
+        # splits as far as its longest run allows and a group whose runs
+        # are all under 2 _MIN_SPAN never splits
+        parts = max(1, min(cpus, n // _MIN_SPAN, round(cpus * n / draws)))
         bounds = [n * k // parts for k in range(parts + 1)]
-        seed = config.master_seed
-        tasks += [(index, seed, q, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    counts = [[0, 0] for _ in configs]
-    workers = min(cpus, len(tasks), total // _MIN_SPAN)
-    for index, (stage1, stage2) in _count_tasks(tasks, workers):
-        counts[index][0] += stage1
-        counts[index][1] += stage2
+        tasks += [(group, seed, runs, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    counts = [[[0, 0] for _ in runs] for *_, runs in groups]
+    workers = min(cpus, len(tasks), draws // _MIN_SPAN)
+    for group, passes in _count_tasks(tasks, workers):
+        for tally, (stage1, stage2) in zip(counts[group], passes):
+            tally[0] += stage1
+            tally[1] += stage2
     return counts
 
 
 def estimate_all(configs: Sequence[TrialConfig]) -> list[EstimateReport]:
     """Run every trial of each configuration and summarize each one's counts.
 
-    One sampler serves each stretch of consecutive runs of one state and
-    phases, such as the points of an ``eta_a`` or ``trials`` sweep.  A batch
-    that does not split, one under 2 ``_MIN_SPAN`` trials in all (a sweep
-    of 8 points of 20000 trials) or on one CPU, counts each run as one span
-    on the calling thread, in order, and asks for no CPU count when it is
-    that short.  A batch that splits is cut into contiguous trial spans, a
-    run long relative to the batch into several, and all spans of all runs
-    are dealt out to the calling thread and the helpers of the process's
-    pool, as many workers as the CPUs the process may run on, at most
-    ``_MAX_WORKERS``, and no more than there are spans or whole
-    ``_MIN_SPAN`` blocks in the batch.
+    The runs of one seed read one stream: trial ``i`` of each of them reads
+    the stream's ``i``-th double, so each block of the stream is filled once
+    per batch and compared against the thresholds of every run of that seed
+    that reaches into it, and the batch reads, per seed, as many draws as
+    its longest run.  One sampler serves each stretch of consecutive runs
+    of one state and phases, such as the points of an ``eta_a`` or
+    ``trials`` sweep.  A batch that does not split, one under 2
+    ``_MIN_SPAN`` draws in all (a sweep of 8 points of 20000 trials) or on
+    one CPU, counts each seed's runs as one span on the calling thread, in
+    order of first appearance, and asks for no CPU count when it is that
+    short.  A batch that splits is cut into contiguous spans of each seed's
+    stream, a seed that reads much of the batch's draws into several, and
+    all spans are dealt out to the calling thread and the helpers of the
+    process's pool, as many workers as the CPUs the process may run on, at
+    most ``_MAX_WORKERS``, and no more than there are spans or whole
+    ``_MIN_SPAN`` blocks of draws in the batch.
     Each trial's draw sits at a fixed stream offset, so any buffer size,
-    split and schedule produce the identical reports.  The samplers and the
-    reports are built on the calling thread, in order.  No count raises: a
-    corrected estimate that noise pushes above 1 is clamped.
+    split and schedule produce the identical reports, and each report is
+    the one its configuration gets alone.  The samplers and the reports are
+    built on the calling thread, in order.  No count raises: a corrected
+    estimate that noise pushes above 1 is clamped.
     """
-    total = sum([config.n_trials for config in configs])
-    thresholds = _thresholds(configs)
-    cpus = min(_MAX_WORKERS, _available_cpus()) if total >= 2 * _MIN_SPAN else 1
+    groups = _seed_groups(configs)
+    draws = sum([n for _, n, *_ in groups])
+    cpus = min(_MAX_WORKERS, _available_cpus()) if draws >= 2 * _MIN_SPAN else 1
     if cpus > 1:
-        counts = _dealt_counts(configs, thresholds, cpus, total)
+        counted = _dealt_counts(groups, cpus, draws)
     else:
-        counts = [_count_span(config.master_seed, q, 0, config.n_trials)
-                  for config, q in zip(configs, thresholds)]
+        counted = [_count_span(seed, runs, 0, n) for seed, n, _, runs in groups]
+    counts = [None] * len(configs)
+    for (_, _, indices, _), group_counts in zip(groups, counted):
+        for index, passes in zip(indices, group_counts):
+            counts[index] = passes
     return [_report(config, *passes) for config, passes in zip(configs, counts)]
 
 

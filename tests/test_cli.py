@@ -736,8 +736,8 @@ class TestSweep:
         payload = capture(parse_config(json.dumps(doc)))
         assert path.read_text(encoding="utf-8") == payload
 
-    # a point i at value v runs the top-level inputs with the axis input
-    # replaced, at seed (seed + i) mod 2**64: this seed wraps at point 2
+    # a point at value v runs the top-level inputs with the axis input
+    # replaced, at the sweep's seed: each row is the simulate run of its point
     @pytest.mark.parametrize(
         "axis, start, stop",
         [("sigma", 0.0, 0.3), ("eta_a", 0.6, 1.0), ("trials", 1000, 2500),
@@ -753,14 +753,14 @@ class TestSweep:
         config = parse_config(json.dumps(doc))
         rows = list(csv.reader(io.StringIO(capture(config))))[1:]
         assert len(rows) == 4
-        for index, (value, row) in enumerate(zip(np.linspace(start, stop, 4), rows)):
+        for value, row in zip(np.linspace(start, stop, 4), rows):
             point = dict(top, state=config.state)
             if axis == "theta":
                 point["state"] = TwoPhotonState(math.cos(value), 0.0, 0.0, math.sin(value))
             else:
                 point[axis] = int(round(value)) if axis == "trials" else float(value)
             report = estimate(TrialConfig(
-                n_trials=point["trials"], master_seed=(seed + index) % 2**64,
+                n_trials=point["trials"], master_seed=seed,
                 state=point["state"], phases=perturbed_phases(point["sigma"]),
                 imperfections=ImperfectionParams(eta_a=point["eta_a"], sigma=point["sigma"]),
             ))
@@ -1005,7 +1005,7 @@ class TestMain:
          (["sweep", *BELL_FLAGS, "--trials", "100", "--sweep-axis", "trials",
            "--sweep-start", "1000", "--sweep-stop", "-5", "--sweep-steps", "3"],
           "trials", "n_trials"),
-         # the points' seeds wrap mod 2**64, the seed as given does not
+         # every point runs at the seed as given, which must be in range
          (["sweep", *BELL_FLAGS, "--trials", "100", "--seed", "-1", "--sweep-axis", "sigma",
            "--sweep-start", "0", "--sweep-stop", "0.1", "--sweep-steps", "2"],
           "seed", "master_seed")],

@@ -269,7 +269,8 @@ class TestTrialLaw:
         sampler.p_plus1 = sampler.p_plus3 = 1.0
         assert sampler.thresholds(1.0) == (1.0, 1.0)
         assert all(replay(sampler, 3, i, 1.0) == (True, True) for i in range(64))
-        assert estimator._count_span(3, sampler.thresholds(1.0), 5, 20_000) == (19_995, 19_995)
+        runs = [(*sampler.thresholds(1.0), 20_000)]
+        assert estimator._count_span(3, runs, 5, 20_000) == [(19_995, 19_995)]
         # below eta 1 the same readouts fail on detection alone
         assert sampler.thresholds(0.5) == (0.25, 0.125)
 
@@ -397,9 +398,9 @@ def spans(monkeypatch):
     recorded = []
     count_span = estimator._count_span
 
-    def recording(seed, thresholds, lo, hi):
+    def recording(seed, runs, lo, hi):
         recorded.append((lo, hi))
-        return count_span(seed, thresholds, lo, hi)
+        return count_span(seed, runs, lo, hi)
 
     monkeypatch.setattr(estimator, "_count_span", recording)
     return recorded
@@ -427,7 +428,8 @@ class TestSpanSplit:
                 sum(stage1 for stage1, _ in outcomes),
                 sum(stage2 for _, stage2 in outcomes),
             )
-            assert estimator._count_span(seed, thresholds, lo, lo + 100) == expected
+            runs = [(*thresholds, lo + 100)]
+            assert estimator._count_span(seed, runs, lo, lo + 100) == [expected]
 
     def test_concurrent_callers_get_identical_reports(self, spans):
         configs = [skewed_config(SPLIT_TRIALS, seed) for seed in (7, 8)]
@@ -473,7 +475,7 @@ class TestSpanSplit:
 
 
 def sweep_configs(steps, n, seed=900):
-    """The runs of a sigma sweep of the skewed state, seeded like the CLI's points."""
+    """The runs of a sigma sweep of the skewed state, each at a seed of its own."""
     sigmas = np.linspace(0.0, 0.3, steps)
     return [
         TrialConfig(
@@ -499,10 +501,10 @@ def span_log(monkeypatch):
     recorded = []
     count_span = estimator._count_span
 
-    def recording(seed, thresholds, lo, hi):
+    def recording(seed, runs, lo, hi):
         live = {thread.name for thread in threading.enumerate()}
         recorded.append((seed, lo, hi, threading.current_thread().name, live))
-        return count_span(seed, thresholds, lo, hi)
+        return count_span(seed, runs, lo, hi)
 
     monkeypatch.setattr(estimator, "_count_span", recording)
     return recorded
@@ -527,14 +529,14 @@ class TestBatch:
         helper_took_a_span = threading.Event()
         record = estimator._count_span
 
-        def held(seed, thresholds, lo, hi):
+        def held(seed, runs, lo, hi):
             if threading.get_ident() != caller:
                 helper_took_a_span.set()
             # hold the caller's span until a helper has one, so it cannot
             # take every span itself
             elif not helper_took_a_span.wait(timeout=60):
                 raise RuntimeError("no helper took a span")
-            return record(seed, thresholds, lo, hi)
+            return record(seed, runs, lo, hi)
 
         monkeypatch.setattr(threading.Thread, "start", recording_start)
         monkeypatch.setattr(estimator, "_count_span", held)
@@ -561,10 +563,10 @@ class TestBatch:
         def live_helpers():
             return sum(t.name.startswith("faradaymeter-span") for t in threading.enumerate())
 
-        def recording(seed, thresholds, lo, hi):
+        def recording(seed, runs, lo, hi):
             helpers.append(live_helpers())
             counters.append(threading.current_thread().name)
-            return count_span(seed, thresholds, lo, hi)
+            return count_span(seed, runs, lo, hi)
 
         monkeypatch.setattr(estimator, "_count_span", recording)
         # enough trials in all to wake every helper the cap allows
@@ -625,14 +627,14 @@ class TestBatch:
         helper_took_a_span = threading.Event()
         count_span = estimator._count_span
 
-        def failing_on_helpers(seed, thresholds, lo, hi):
+        def failing_on_helpers(seed, runs, lo, hi):
             if threading.get_ident() != caller:
                 helper_took_a_span.set()
                 raise RuntimeError("helper failed")
             # hold the caller's span until a helper has one, so it cannot
             # take every span itself
             assert helper_took_a_span.wait(timeout=60)
-            return count_span(seed, thresholds, lo, hi)
+            return count_span(seed, runs, lo, hi)
 
         monkeypatch.setattr(estimator, "_count_span", failing_on_helpers)
         with pytest.raises(RuntimeError, match="helper failed"):
@@ -812,9 +814,9 @@ class TestMixedBatch:
         counted = []
         count_span = estimator._count_span
 
-        def recording(seed, thresholds, lo, hi):
+        def recording(seed, runs, lo, hi):
             counted.append((seed, lo, hi, threading.current_thread().name))
-            return count_span(seed, thresholds, lo, hi)
+            return count_span(seed, runs, lo, hi)
 
         def no_cpu_count():
             raise AssertionError("a batch that cannot split asked for the CPUs")
@@ -850,6 +852,92 @@ class TestMixedBatch:
         estimate_all(mixed_batch())
         # A, B, A, then A at sigma 0.2 for two runs, theta, A twice more
         assert len(built) == 7
+
+
+def shared_seed_batch(kind, n, seed=910):
+    """Runs that all read one seed's stream, as the points of a sweep do.
+
+    ``sigma`` and ``eta`` vary that input of the skewed state over 8 runs of
+    ``n`` trials each; ``trials`` mixes lengths, from a run of 1 trial to
+    one of ``n``, in no order.
+    """
+    if kind == "sigma":
+        runs = [(float(sigma), 0.8, n) for sigma in np.linspace(0.0, 0.3, 8)]
+    elif kind == "eta":
+        runs = [(0.05, float(eta), n) for eta in np.linspace(0.6, 1.0, 8)]
+    else:
+        runs = [(0.1, 0.8, length) for length in (20_000, 1, n, 3, 977, n // 3, 4097, 20_000)]
+    return [
+        TrialConfig(length, seed, SKEWED, perturbed_phases(sigma),
+                    ImperfectionParams(eta_a=eta, sigma=sigma))
+        for sigma, eta, length in runs
+    ]
+
+
+@pytest.fixture
+def group_log(monkeypatch):
+    """Record each counted span's seed, number of runs and bounds."""
+    recorded = []
+    count_span = estimator._count_span
+
+    def recording(seed, runs, lo, hi):
+        recorded.append((seed, len(runs), lo, hi))
+        return count_span(seed, runs, lo, hi)
+
+    monkeypatch.setattr(estimator, "_count_span", recording)
+    return recorded
+
+
+class TestSharedSeed:
+    """Runs of one seed read its stream once per batch and report as each would alone."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("sigma", 20_000), ("sigma", SPLIT_TRIALS), ("eta", 20_000), ("eta", SPLIT_TRIALS),
+         ("trials", 2 * estimator._MIN_SPAN), ("trials", SPLIT_TRIALS)],
+    )
+    def test_batch_reports_equal_lone_estimates(self, kind, n, cpus, group_log, monkeypatch):
+        monkeypatch.setattr(estimator, "_available_cpus", lambda: cpus)
+        configs = shared_seed_batch(kind, n)
+        reports = estimate_all(configs)
+        spans = sorted(group_log)
+        # every span reads the stream for all the runs of the batch at once
+        longest = max(config.n_trials for config in configs)
+        blocks = longest // estimator._MIN_SPAN
+        parts = min(cpus, blocks) if blocks >= 2 else 1
+        bounds = [longest * k // parts for k in range(parts + 1)]
+        assert spans == [(910, len(configs), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
+        assert reports == [estimate(config) for config in configs]
+
+    def test_rows_along_eta_and_trials_never_lose_a_pass(self):
+        # the runs share each draw, so a higher threshold or a longer run
+        # counts every pass a lower or shorter one does
+        along_eta = [passes(report) for report in estimate_all(shared_seed_batch("eta", 20_000))]
+        assert along_eta == sorted(along_eta)
+        assert along_eta[0] < along_eta[-1]
+        configs = sorted(shared_seed_batch("trials", 100_000), key=lambda c: c.n_trials)
+        along_trials = [passes(report) for report in estimate_all(configs)]
+        assert along_trials == sorted(along_trials)
+
+    def test_seeds_are_grouped_wherever_their_runs_sit(self, group_log):
+        configs = [skewed_config(20_000, seed) for seed in (5, 6, 5, 7, 6, 5)]
+        reports = estimate_all(configs)
+        assert group_log == [(5, 3, 0, 20_000), (6, 2, 0, 20_000), (7, 1, 0, 20_000)]
+        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
+
+    def test_a_long_batch_of_short_runs_of_one_seed_counts_inline(self, group_log, monkeypatch):
+        def no_cpu_count():
+            raise AssertionError("a batch that reads too few draws to split asked for the CPUs")
+
+        monkeypatch.setattr(estimator, "_available_cpus", no_cpu_count)
+        short = estimator._MIN_SPAN // 4
+        configs = shared_seed_batch("sigma", short)
+        assert sum(config.n_trials for config in configs) >= 2 * estimator._MIN_SPAN
+        reports = estimate_all(configs)
+        assert group_log == [(910, 8, 0, short)]
+        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
 
 
 class TestTrialStream:
