@@ -769,8 +769,8 @@ class TestSweep:
                         report.c_low, report.c_high]
             assert [float(cell) for cell in row] == expected
 
-    # each row's counts are the serial reference's, one stream per point: however the
-    # points are scheduled, the table must not change by a byte
+    # each row's counts are the serial reference's, every point reading the sweep's
+    # one stream: however the points are scheduled, the table must not change by a byte
     @pytest.mark.parametrize(
         "name, flags",
         [
