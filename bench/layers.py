@@ -108,8 +108,8 @@ FIGURES = {
                             "us per call",
     "sampler_setup_us": "estimator.TrialSampler(state, perturbed_phases(0.05)), us per build",
     "stream_seed_us": f"estimator._stream_at(seed, 0) over {STATES} 64-bit seeds, us per call: "
-                      "the seeding each seed of a batch pays before its draws, once per "
-                      "sweep, whose points share the sweep's seed",
+                      "the seeding each span of the per-seed counter pays before its "
+                      "draws, once per sweep, whose points share the sweep's seed",
     "estimate_mtrials_per_s": f"estimator.estimate on {ESTIMATE_TRIALS} trials "
                               "at eta 0.9, sigma 0.05, median Mtrials/s; " + SPLIT_CAVEAT,
     "count_span_fill_share": f"share of one-thread estimator._count_span time, on one run of "

@@ -29,7 +29,6 @@ from .estimator import (
     EstimateReport,
     TrialConfig,
     estimate,
-    estimate_all,
     wilson_interval,
 )
 from .faraday import (
@@ -76,7 +75,6 @@ __all__ = [
     "EstimateReport",
     "TrialConfig",
     "estimate",
-    "estimate_all",
     "wilson_interval",
     "CavityParams",
     "FaradayPhases",

@@ -5,7 +5,9 @@ record format (JSON, schema ``faradaymeter-record/1``) are supported.  Five
 modes exist: ``analytic`` evaluates the protocol exactly, ``simulate`` runs
 the Monte Carlo estimator, ``oracle`` reports reference concurrences,
 ``phases`` evaluates the cavity reflection phases, and ``sweep`` tabulates
-simulation results along one parameter axis as delimited text.
+simulation results along one parameter axis as delimited text: each row is
+the ``simulate`` result of its point, all points counted in one call of
+the estimator's per-seed counter on the sweep's seed.
 
 Exit codes: 0 success, 2 configuration problems, 3 numerical failures.
 """
@@ -18,7 +20,6 @@ import json
 import logging
 import math
 import sys
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FaradaymeterError, NumericalFailureError
-from .estimator import RNG_ID, TrialConfig, estimate, estimate_all
+from .estimator import RNG_ID, TrialConfig, TrialSampler, _count_runs, _summary, estimate
 from .faraday import CavityParams, perturbed_phases, phases_from_params
 from .imperfect import ImperfectionParams
 from .oracle import concurrence_mixed, concurrence_pure, concurrence_pure_general
@@ -437,16 +438,15 @@ def _run_analytic(config: RunConfig) -> dict:
     }
 
 
-def _trial_config(config: RunConfig, value: float | None = None) -> TrialConfig:
-    """The Monte Carlo run of ``simulate`` or, given ``value``, of the sweep point at ``value``.
+def _point(config: RunConfig, value: float | None = None) -> tuple:
+    """The state, trials, eta_a and sigma of ``simulate`` or of the sweep point at ``value``.
 
-    The run takes the state, trials, seed, eta_a and sigma of ``config``.
-    A sweep point replaces the input of its axis (theta runs
-    cos(theta)|RR> + sin(theta)|LL>) and keeps the seed, so its run is the
-    ``simulate`` run of its point and every point reads one stream.
+    A sweep point replaces the input of its axis in those of ``config``
+    (theta runs cos(theta)|RR> + sin(theta)|LL>) and keeps the seed, so its
+    run is the ``simulate`` run of its point and every point reads one
+    stream.
     """
-    state, trials, seed = config.state, config.trials, config.seed
-    eta_a, sigma = config.eta_a, config.sigma
+    state, trials, eta_a, sigma = config.state, config.trials, config.eta_a, config.sigma
     if value is not None:
         axis = config.sweep.axis
         if axis == "theta":
@@ -457,7 +457,14 @@ def _trial_config(config: RunConfig, value: float | None = None) -> TrialConfig:
             eta_a = value
         else:
             sigma = value
-    return TrialConfig(trials, seed, state, perturbed_phases(sigma), ImperfectionParams(eta_a, sigma))
+    return state, trials, eta_a, sigma
+
+
+def _trial_config(config: RunConfig, value: float | None = None) -> TrialConfig:
+    """The Monte Carlo run of ``simulate`` or, given ``value``, of the sweep point at ``value``."""
+    state, trials, eta_a, sigma = _point(config, value)
+    return TrialConfig(trials, config.seed, state, perturbed_phases(sigma),
+                       ImperfectionParams(eta_a, sigma))
 
 
 def _run_simulate(config: RunConfig) -> dict:
@@ -484,24 +491,33 @@ def _run_phases(config: RunConfig) -> dict:
     return {**vars(phases), "rotation_angle": phases.rotation_angle}
 
 
-# catch_warnings swaps the process's warning filters and puts them back on
-# exit, which holds only while no other caller swaps them in between
-_filters_lock = threading.Lock()
-
-
 def _run_sweep(config: RunConfig) -> str:
+    """The CSV table of a sweep, each row the ``simulate`` record of its point.
+
+    No point builds a run: ``_check_ranges`` built the runs of the end
+    points, which bound the rest, and warned for them.  One sampler serves
+    each stretch of points of one state and phases, all the points are
+    counted in one call on the sweep's seed, and each row is summarized as
+    ``estimate`` summarizes a run.
+    """
     values = config.sweep.values()
-    with _filters_lock, warnings.catch_warnings():
-        # a large sigma warned when _check_ranges built the end points, which bound the rest
-        warnings.simplefilter("ignore", UserWarning)
-        points = [_trial_config(config, value) for value in values]
-    reports = estimate_all(points)
+    points = [_point(config, value) for value in values]
+    runs = []
+    key = None
+    for state, trials, eta_a, sigma in points:
+        phases = perturbed_phases(sigma)
+        # the tuples compare each state and phases by identity before equality
+        if (state, phases) != key:
+            key = (state, phases)
+            sampler = TrialSampler(state, phases)
+        runs.append((*sampler.thresholds(eta_a), trials))
     # every cell is a finite float and no header name needs quoting, so these
     # lines are the ones csv.writer would write
     lines = [",".join(SWEEP_COLUMNS)]
-    for index, (value, point, report) in enumerate(zip(values, points, reports)):
-        row = (value, report.p1_hat, report.p2_hat, report.p_total_hat, report.c_hat,
-               report.corrected_c_hat, concurrence_pure(point.state), report.c_low, report.c_high)
+    counts = _count_runs(config.seed, runs)
+    for index, (value, (state, trials, eta_a, _), passes) in enumerate(zip(values, points, counts)):
+        *_, p1, p2, p_total, c_hat, low, high, corrected = _summary(trials, *passes, eta_a)
+        row = (value, p1, p2, p_total, c_hat, corrected, concurrence_pure(state), low, high)
         if not all(map(math.isfinite, row)):
             raise NumericalFailureError(f"non-finite value in sweep row {index}: {row!r}")
         lines.append(",".join(map(float.__repr__, row)))

@@ -12,31 +12,28 @@ trial owns a fixed draw of the stream, and the stream jumps ahead to draw
 the configuration: trials can be batched or split across workers without
 changing a single outcome.
 
-``estimate_all`` runs a batch of configurations, such as the points of a
-sweep; ``estimate`` is a batch of one.  The runs of one seed read one
-stream, each the first ``n_trials`` doubles of it, so the batch fills each
-seed's draws once, as many as its longest run reads, and compares each
-block against the thresholds of every run that reaches into it: the 8
-points of a sweep, which share the sweep's seed, cost one seeding and one
-fill.  One sampler, and so one exact evaluation of the protocol, serves
-each stretch of consecutive runs of one state and phases: the 8 points of
-an ``eta_a`` or ``trials`` sweep share one.  A batch that does not split,
-one that reads under ``2 * _MIN_SPAN`` draws in all, such as a sweep of 8
-points of 20000 trials, or one on a single CPU, is counted inline: each
-seed's runs are one span on the calling thread, in order of first
-appearance, and start no thread.  A batch that splits runs on the calling
-thread and up to ``_MAX_WORKERS - 1`` helper threads (numpy's PCG64DXSM
-fill and ufuncs release the interpreter lock), one per ``_MIN_SPAN``
-draws: below that, waking one costs more than it saves.  The helpers
-belong to one pool per process, started by the first batch that splits
-and kept for the next; a forked child starts its own.  Each seed's stream
-is cut into contiguous spans, a long one into more spans than a short
-one, and the workers take spans off one shared iterator until it is
-empty.  The caller then cancels every helper that has not started, so a
-helper that wakes late costs nothing.  A span is the stream advanced to
-draw ``lo`` and read on into a small buffer the worker reuses; per buffer
-and per run, one compare against ``q1`` and one against ``q2`` give its
-two counts.
+``estimate`` runs one configuration through ``_count_runs``, the
+per-seed counter, as a run ``(q1, q2, n_trials)``; a sweep hands it the
+runs of all its points at once, since they share the sweep's seed.  Each
+run reads the first ``n_trials`` doubles of the seed's one stream, so the
+counter fills the draws once, as many as its longest run reads: the 8
+points of a sweep cost one seeding and one fill.  Each block of draws is
+compared once per threshold pair among the runs that reach into it, as
+far as the longest of them reaches, and each run of the pair counts the
+passes up to its own end: the 8 points of a ``trials`` sweep share one
+pair, so two compares per block.  A call that reads under
+``2 * _MIN_SPAN`` draws, such as a sweep of 8 points of 20000 trials, or
+one on a single CPU, is counted inline: one span on the calling thread,
+starting no thread.  A call that splits runs on the calling thread and up
+to ``_MAX_WORKERS - 1`` helper threads (numpy's PCG64DXSM fill and ufuncs
+release the interpreter lock), one per ``_MIN_SPAN`` draws: below that,
+waking one costs more than it saves.  The helpers belong to one pool per
+process, started by the first call that splits and kept for the next; a
+forked child starts its own.  The stream is cut into contiguous spans and
+the workers take spans off one shared iterator until it is empty.  The
+caller then cancels every helper that has not started, so a helper that
+wakes late costs nothing.  A span is the stream advanced to draw ``lo``
+and read on into a small buffer the worker reuses.
 """
 
 from __future__ import annotations
@@ -129,13 +126,19 @@ class EstimateReport:
     corrected_c_hat: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.stage2_successes <= self.stage1_successes <= self.trials:
-            raise ValueError(
-                f"inconsistent counts: {self.stage2_successes} stage-2, "
-                f"{self.stage1_successes} stage-1, {self.trials} trials"
-            )
-        if not self.c_low <= self.c_hat <= self.c_high:
-            raise ValueError("confidence interval does not bracket the point estimate")
+        _check(self.trials, self.stage1_successes, self.stage2_successes,
+               self.c_hat, self.c_low, self.c_high)
+
+
+def _check(trials: int, stage1: int, stage2: int, c_hat: float, c_low: float,
+           c_high: float) -> None:
+    """Reject counts out of order and an interval that does not bracket ``c_hat``."""
+    if not 0 <= stage2 <= stage1 <= trials:
+        raise ValueError(
+            f"inconsistent counts: {stage2} stage-2, {stage1} stage-1, {trials} trials"
+        )
+    if not c_low <= c_hat <= c_high:
+        raise ValueError("confidence interval does not bracket the point estimate")
 
 
 class TrialSampler:
@@ -202,33 +205,51 @@ def _count_span(
 
     A run is ``(q1, q2, n_trials)`` and stops at its own ``n_trials``, so
     the runs share each block of draws: the block is filled once into a
-    reused buffer of ``_BUFFER_TRIALS`` trials, but no more than the span,
-    and compared against the thresholds of every run that reaches into it.
+    reused buffer of ``_BUFFER_TRIALS`` trials, but no more than the span.
+    The runs of one threshold pair are compared once per block, as far as
+    the longest of them reaches, and count the hits segment by segment
+    between their ends, in ascending order, each run the hits up to its own.
     """
+    pairs: dict[tuple[float, float], list[tuple[int, int]]] = {}
+    for index, (q1, q2, n) in enumerate(runs):
+        pairs.setdefault((q1, q2), []).append((n, index))
+    for ends in pairs.values():
+        ends.sort()
     rows = min(hi - lo, _BUFFER_TRIALS)
     gen = _stream_at(master_seed, lo)
     draws = np.empty(rows)
     hits = np.empty(rows, dtype=np.bool_)
     counts = [[0, 0] for _ in runs]
-    for start in range(lo, hi, rows):
+    for start in range(lo, hi, _BUFFER_TRIALS):
         if hi - start < rows:  # the last block of a span longer than the buffer
             draws, hits = draws[:hi - start], hits[:hi - start]
         gen.random(out=draws)
-        for (q1, q2, n), tally in zip(runs, counts):
-            block, mask = draws, hits
-            if n - start < len(draws):  # the run ends before this block does
-                if n <= start:
-                    continue
-                block, mask = draws[:n - start], hits[:n - start]
-            np.less(block, q1, out=mask)
-            tally[0] += np.count_nonzero(mask)
-            np.less(block, q2, out=mask)
-            tally[1] += np.count_nonzero(mask)
+        for (q1, q2), ends in pairs.items():
+            reach = ends[-1][0] - start
+            if reach <= 0:  # every run of the pair ends before this block
+                continue
+            block, mask = (draws, hits) if reach >= len(draws) else (draws[:reach], hits[:reach])
+            if len(ends) == 1:  # a lone run counts each whole compare, unsliced
+                tally = counts[ends[0][1]]
+                np.less(block, q1, out=mask)
+                tally[0] += np.count_nonzero(mask)
+                np.less(block, q2, out=mask)
+                tally[1] += np.count_nonzero(mask)
+                continue
+            for column, threshold in ((0, q1), (1, q2)):
+                np.less(block, threshold, out=mask)
+                passed = counted_to = 0
+                for n, index in ends:
+                    # a slice past the block's end stops at it
+                    if n - start > counted_to:
+                        passed += np.count_nonzero(mask[counted_to:n - start])
+                        counted_to = n - start
+                    counts[index][column] += passed
     return [(int(stage1), int(stage2)) for stage1, stage2 in counts]
 
 
 def _helpers():
-    """The process's pool of span helpers, started by the first batch that splits."""
+    """The process's pool of span helpers, started by the first call that splits."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -249,31 +270,31 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _count_tasks(tasks: list[tuple], workers: int) -> list[tuple[int, list[tuple[int, int]]]]:
-    """``(group index, counts of each of its runs)`` of every span task.
+def _count_tasks(
+    master_seed: int, runs: Sequence[tuple], spans: list[tuple[int, int]]
+) -> list[list[tuple[int, int]]]:
+    """The counts of ``runs`` in each span ``(lo, hi)`` of ``master_seed``'s stream, in any order.
 
-    A task is ``(group index, seed, runs, lo, hi)``, its ``runs`` those of
-    one seed as ``_count_span`` takes them.  The calling thread
-    and ``workers - 1`` helpers sent to the process's pool each take the
-    next task off one shared iterator until it is empty.  The caller then
-    cancels the helpers that have not started and waits only for the
-    others, so it never waits for a helper that wakes late.  A span's error
-    reaches the caller, from its own span or through a helper's future.
+    The calling thread and a helper per further span, sent to the process's
+    pool, each take the next span off one shared iterator until it is
+    empty.  The caller then cancels the helpers that have not started and
+    waits only for the others, so it never waits for a helper that wakes
+    late.  A span's error reaches the caller, from its own span or through
+    a helper's future.
     """
-    pending = iter(tasks)
+    pending = iter(spans)
     taking = threading.Lock()
     counted = []
 
     def work() -> None:
         while True:
             with taking:
-                task = next(pending, None)
-            if task is None:
+                span = next(pending, None)
+            if span is None:
                 return
-            group, seed, runs, lo, hi = task
-            counted.append((group, _count_span(seed, runs, lo, hi)))
+            counted.append(_count_span(master_seed, runs, *span))
 
-    helpers = [_helpers().submit(work) for _ in range(workers - 1)]
+    helpers = [_helpers().submit(work) for _ in range(len(spans) - 1)]
     try:
         work()
     finally:
@@ -283,107 +304,67 @@ def _count_tasks(tasks: list[tuple], workers: int) -> list[tuple[int, list[tuple
     return counted
 
 
-def _report(config: TrialConfig, stage1: int, stage2: int) -> EstimateReport:
-    """Point estimates and the confidence interval of one run's counts."""
-    n = config.n_trials
-    p_total_hat = stage2 / n
-    low, high = wilson_interval(stage2, n)
-    # the fields in order: counts, p1_hat, p2_hat, p_total_hat, c_hat, the
-    # interval's ends and corrected_c_hat
-    return EstimateReport(
-        n, stage1, stage2, stage1 / n, stage2 / stage1 if stage1 > 0 else 0.0, p_total_hat,
-        2.0 * math.sqrt(p_total_hat), 2.0 * math.sqrt(low), 2.0 * math.sqrt(high),
-        min(1.0, 2.0 * math.sqrt(p_total_hat / config.imperfections.eta_a**3)),
-    )
+def _dealt_counts(master_seed: int, runs: Sequence[tuple], draws: int,
+                  cpus: int) -> list[tuple[int, int]]:
+    """The counts of each run, the ``draws`` the runs read dealt out to ``cpus`` workers."""
+    # one span per CPU and per _MIN_SPAN draws, at most
+    parts = min(cpus, draws // _MIN_SPAN)
+    bounds = [draws * k // parts for k in range(parts + 1)]
+    counted = _count_tasks(master_seed, runs, list(zip(bounds, bounds[1:])))
+    # for each run, its passes in every span, summed stage by stage
+    return [tuple(map(sum, zip(*passes))) for passes in zip(*counted)]
 
 
-def _thresholds(configs: Sequence[TrialConfig]) -> list[tuple[float, float]]:
-    """The ``(q1, q2)`` of each run; one sampler serves consecutive runs of one state and phases."""
-    thresholds = []
-    key = None
-    for config in configs:
-        # the tuples compare each state and phases by identity before equality
-        if (config.state, config.phases) != key:
-            key = (config.state, config.phases)
-            sampler = TrialSampler(*key)
-        thresholds.append(sampler.thresholds(config.imperfections.eta_a))
-    return thresholds
+def _count_runs(
+    master_seed: int, runs: Sequence[tuple[float, float, int]]
+) -> list[tuple[int, int]]:
+    """Stage-1 and stage-2 passes of each run ``(q1, q2, n_trials)`` of ``master_seed``.
 
-
-def _seed_groups(configs: Sequence[TrialConfig]) -> list[tuple[int, int, list[int], list[tuple]]]:
-    """``(seed, draws, run indices, runs)`` of each distinct seed, in order of first appearance.
-
-    A run is ``(q1, q2, n_trials)``, as ``_count_span`` takes it; ``draws``
-    is the longest run's ``n_trials``, the part of the stream the runs read.
+    Trial ``i`` of every run reads the ``i``-th double of the seed's one
+    stream, so the runs read, together, as many draws as the longest of
+    them.  Under 2 ``_MIN_SPAN`` draws (a sweep of 8 points of 20000
+    trials), or on one CPU, they are counted as one span on the calling
+    thread, and a call that short asks for no CPU count.  A longer call is
+    cut into contiguous spans of the stream, dealt out to the calling
+    thread and the helpers of the process's pool: as many workers as the
+    CPUs the process may run on, at most ``_MAX_WORKERS``, and no more than
+    whole ``_MIN_SPAN`` blocks of draws.  Each trial's draw sits at a fixed
+    stream offset, so any buffer size, split and schedule give identical
+    counts, and each run's counts are the ones it gets alone.
     """
-    groups: dict[int, tuple[list[int], list[tuple]]] = {}
-    for index, (config, (q1, q2)) in enumerate(zip(configs, _thresholds(configs))):
-        indices, runs = groups.setdefault(config.master_seed, ([], []))
-        indices.append(index)
-        runs.append((q1, q2, config.n_trials))
-    return [(seed, max([n for *_, n in runs]), indices, runs)
-            for seed, (indices, runs) in groups.items()]
-
-
-def _dealt_counts(groups: list[tuple], cpus: int, draws: int) -> list[list[list[int]]]:
-    """The counts of each run of each group, the groups' spans dealt out to ``cpus`` workers."""
-    tasks = []
-    for group, (seed, n, _, runs) in enumerate(groups):
-        # spans in proportion to the group's share of the batch's draws, at
-        # most one per CPU and per _MIN_SPAN draws, so a batch of one seed
-        # splits as far as its longest run allows and a group whose runs
-        # are all under 2 _MIN_SPAN never splits
-        parts = max(1, min(cpus, n // _MIN_SPAN, round(cpus * n / draws)))
-        bounds = [n * k // parts for k in range(parts + 1)]
-        tasks += [(group, seed, runs, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    counts = [[[0, 0] for _ in runs] for *_, runs in groups]
-    workers = min(cpus, len(tasks), draws // _MIN_SPAN)
-    for group, passes in _count_tasks(tasks, workers):
-        for tally, (stage1, stage2) in zip(counts[group], passes):
-            tally[0] += stage1
-            tally[1] += stage2
-    return counts
-
-
-def estimate_all(configs: Sequence[TrialConfig]) -> list[EstimateReport]:
-    """Run every trial of each configuration and summarize each one's counts.
-
-    The runs of one seed read one stream: trial ``i`` of each of them reads
-    the stream's ``i``-th double, so each block of the stream is filled once
-    per batch and compared against the thresholds of every run of that seed
-    that reaches into it, and the batch reads, per seed, as many draws as
-    its longest run.  One sampler serves each stretch of consecutive runs
-    of one state and phases, such as the points of an ``eta_a`` or
-    ``trials`` sweep.  A batch that does not split, one under 2
-    ``_MIN_SPAN`` draws in all (a sweep of 8 points of 20000 trials) or on
-    one CPU, counts each seed's runs as one span on the calling thread, in
-    order of first appearance, and asks for no CPU count when it is that
-    short.  A batch that splits is cut into contiguous spans of each seed's
-    stream, a seed that reads much of the batch's draws into several, and
-    all spans are dealt out to the calling thread and the helpers of the
-    process's pool, as many workers as the CPUs the process may run on, at
-    most ``_MAX_WORKERS``, and no more than there are spans or whole
-    ``_MIN_SPAN`` blocks of draws in the batch.
-    Each trial's draw sits at a fixed stream offset, so any buffer size,
-    split and schedule produce the identical reports, and each report is
-    the one its configuration gets alone.  The samplers and the reports are
-    built on the calling thread, in order.  No count raises: a corrected
-    estimate that noise pushes above 1 is clamped.
-    """
-    groups = _seed_groups(configs)
-    draws = sum([n for _, n, *_ in groups])
+    draws = max([n for *_, n in runs], default=0)
     cpus = min(_MAX_WORKERS, _available_cpus()) if draws >= 2 * _MIN_SPAN else 1
     if cpus > 1:
-        counted = _dealt_counts(groups, cpus, draws)
-    else:
-        counted = [_count_span(seed, runs, 0, n) for seed, n, _, runs in groups]
-    counts = [None] * len(configs)
-    for (_, _, indices, _), group_counts in zip(groups, counted):
-        for index, passes in zip(indices, group_counts):
-            counts[index] = passes
-    return [_report(config, *passes) for config, passes in zip(configs, counts)]
+        return _dealt_counts(master_seed, runs, draws, cpus)
+    return _count_span(master_seed, runs, 0, draws)
+
+
+def _summary(trials: int, stage1: int, stage2: int, eta_a: float) -> tuple:
+    """The ``EstimateReport`` fields of a run's counts, in order, checked as a report checks them.
+
+    ``eta_a`` is the run's detection efficiency, which ``corrected_c_hat``
+    divides out.
+    """
+    p_total_hat = stage2 / trials
+    low, high = wilson_interval(stage2, trials)
+    # the fields in order: counts, p1_hat, p2_hat, p_total_hat, c_hat, the
+    # interval's ends and corrected_c_hat
+    fields = (
+        trials, stage1, stage2, stage1 / trials, stage2 / stage1 if stage1 > 0 else 0.0,
+        p_total_hat, 2.0 * math.sqrt(p_total_hat), 2.0 * math.sqrt(low), 2.0 * math.sqrt(high),
+        min(1.0, 2.0 * math.sqrt(p_total_hat / eta_a**3)),
+    )
+    _check(trials, stage1, stage2, *fields[6:9])
+    return fields
 
 
 def estimate(config: TrialConfig) -> EstimateReport:
-    """The report of one configuration: ``estimate_all([config])[0]``."""
-    return estimate_all([config])[0]
+    """Run every trial of one configuration and summarize its counts.
+
+    No count raises: a corrected estimate that noise pushes above 1 is
+    clamped.
+    """
+    eta_a = config.imperfections.eta_a
+    q1, q2 = TrialSampler(config.state, config.phases).thresholds(eta_a)
+    (passes,) = _count_runs(config.master_seed, [(q1, q2, config.n_trials)])
+    return EstimateReport(*_summary(config.n_trials, *passes, eta_a))

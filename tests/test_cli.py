@@ -27,6 +27,7 @@ from faradaymeter.cli import (
     parse_config,
     run,
 )
+from faradaymeter import estimator
 from faradaymeter.errors import ConfigError
 from faradaymeter.estimator import TrialConfig, estimate
 from faradaymeter.faraday import perturbed_phases, rb87_params
@@ -737,14 +738,18 @@ class TestSweep:
         assert path.read_text(encoding="utf-8") == payload
 
     # a point at value v runs the top-level inputs with the axis input
-    # replaced, at the sweep's seed: each row is the simulate run of its point
+    # replaced, at the sweep's seed: each row is the simulate run of its point.
+    # The points of a trials sweep share one threshold pair, here in
+    # descending order and, from 1000 to 600000, over several buffers and two
+    # spans of the stream
     @pytest.mark.parametrize(
         "axis, start, stop",
         [("sigma", 0.0, 0.3), ("eta_a", 0.6, 1.0), ("trials", 1000, 2500),
-         ("theta", 0.0, math.pi / 2)],
-        ids=["sigma", "eta_a", "trials", "theta"],
+         ("theta", 0.0, math.pi / 2), ("trials", 2500, 1000), ("trials", 1000, 600_000)],
+        ids=["sigma", "eta_a", "trials", "theta", "trials_descending", "trials_split"],
     )
-    def test_rows_equal_estimates_of_hand_built_runs(self, axis, start, stop):
+    def test_rows_equal_estimates_of_hand_built_runs(self, axis, start, stop, monkeypatch):
+        monkeypatch.setattr(estimator, "_available_cpus", lambda: 2)
         seed, top = 2**64 - 2, {"trials": 2000, "eta_a": 0.9, "sigma": 0.05}
         doc = {"mode": "sweep", "seed": seed, **top,
                "sweep": {"axis": axis, "start": start, "stop": stop, "steps": 4}}

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo estimator and its deterministic streams."""
 
+import json
 import math
 import os
 import subprocess
@@ -14,13 +15,12 @@ import numpy as np
 import pytest
 from serial_estimator_reference import serial_counts
 
-from faradaymeter import estimator
+from faradaymeter import cli, estimator
 from faradaymeter.estimator import (
     EstimateReport,
     TrialConfig,
     TrialSampler,
     estimate,
-    estimate_all,
     wilson_interval,
 )
 from faradaymeter.faraday import FaradayPhases, ideal_phases, perturbed_phases
@@ -199,7 +199,7 @@ class TestTrialLaw:
         counts = np.array([
             [r.trials - r.stage1_successes, r.stage1_successes - r.stage2_successes,
              r.stage2_successes]
-            for r in estimate_all(configs)
+            for r in map(estimate, configs)
         ])
         expected = LAW_TRIALS * np.array([1.0 - q1, q1 - q2, q2])
         # every seed's own statistic (2 degrees of freedom each), summed, and
@@ -229,8 +229,8 @@ class TestTrialLaw:
         phases = perturbed_phases(sigma)
         q1, q2 = TrialSampler(state, phases).thresholds(eta)
         imperfections = ImperfectionParams(eta_a=eta, sigma=sigma)
-        reports = estimate_all([TrialConfig(MOMENT_TRIALS, seed, state, phases, imperfections)
-                                for seed in range(MOMENT_SEEDS)])
+        reports = [estimate(TrialConfig(MOMENT_TRIALS, seed, state, phases, imperfections))
+                   for seed in range(MOMENT_SEEDS)]
         n = MOMENT_TRIALS
         stage1 = np.array([report.stage1_successes for report in reports]) - n * q1
         stage2 = np.array([report.stage2_successes for report in reports]) - n * q2
@@ -475,22 +475,32 @@ class TestSpanSplit:
 
 
 def sweep_configs(steps, n, seed=900):
-    """The runs of a sigma sweep of the skewed state, each at a seed of its own."""
+    """The runs of a sigma sweep of the skewed state, all at one seed as a sweep's points are."""
     sigmas = np.linspace(0.0, 0.3, steps)
     return [
         TrialConfig(
             n_trials=n,
-            master_seed=seed + index,
+            master_seed=seed,
             state=SKEWED,
             phases=perturbed_phases(float(sigma)),
             imperfections=ImperfectionParams(eta_a=0.8, sigma=float(sigma)),
         )
-        for index, sigma in enumerate(sigmas)
+        for sigma in sigmas
     ]
 
 
 def passes(report):
     return report.stage1_successes, report.stage2_successes
+
+
+def counted(configs):
+    """The per-seed counter's passes of each of ``configs``, which share one seed."""
+    (seed,) = {config.master_seed for config in configs}
+    runs = [
+        (*TrialSampler(c.state, c.phases).thresholds(c.imperfections.eta_a), c.n_trials)
+        for c in configs
+    ]
+    return estimator._count_runs(seed, runs)
 
 
 @pytest.fixture
@@ -511,13 +521,15 @@ def span_log(monkeypatch):
 
 
 class TestBatch:
+    """The per-seed counter: its spans, its threads and its counts."""
+
     def test_sweep_matches_serial_reference(self, spans):
         configs = sweep_configs(8, 20_000)
-        reports = estimate_all(configs)
-        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
-        assert reports == [estimate(config) for config in configs]
+        counts = counted(configs)
+        assert counts == [serial_counts(c) for c in configs]
+        assert counts == [passes(estimate(config)) for config in configs]
 
-    def test_sweep_points_are_one_span_each_on_one_pool_thread(self, span_log, monkeypatch):
+    def test_a_split_batch_takes_one_pool_thread(self, span_log, monkeypatch):
         started = []
         start = threading.Thread.start
 
@@ -540,17 +552,19 @@ class TestBatch:
 
         monkeypatch.setattr(threading.Thread, "start", recording_start)
         monkeypatch.setattr(estimator, "_count_span", held)
-        # 2 _MIN_SPAN trials in all, one helper's worth on two CPUs
-        configs = sweep_configs(8, estimator._MIN_SPAN // 4)
+        # 2 _MIN_SPAN draws, one helper's worth on two CPUs
+        n = 2 * estimator._MIN_SPAN
+        configs = sweep_configs(8, n)
         for _ in range(2):
             span_log.clear()
             helper_took_a_span.clear()
-            estimate_all(configs)
+            counts = counted(configs)
             assert sorted((seed, lo, hi) for seed, lo, hi, *_ in span_log) == [
-                (config.master_seed, 0, config.n_trials) for config in configs
+                (900, 0, n // 2), (900, n // 2, n)
             ]
             assert any(counter.startswith("faradaymeter-span") for *_, counter, _ in span_log)
-        # the pool outlives a batch, so the second starts no thread
+        assert counts == [serial_counts(c) for c in configs]
+        # the pool outlives a call, so the second starts no thread
         assert len(started) <= 1
         assert all(name.startswith("faradaymeter-span") for name in started)
 
@@ -569,12 +583,12 @@ class TestBatch:
             return count_span(seed, runs, lo, hi)
 
         monkeypatch.setattr(estimator, "_count_span", recording)
-        # enough trials in all to wake every helper the cap allows
-        configs = sweep_configs(8, estimator._MAX_WORKERS * estimator._MIN_SPAN // 8)
+        # enough draws to wake every helper the cap allows
+        configs = shared_seed_batch("trials", estimator._MAX_WORKERS * estimator._MIN_SPAN)
         for _ in range(20):
-            estimate_all(configs)
+            counted(configs)
             helpers.append(live_helpers())
-        # these batches used a helper, not only a pool earlier tests left
+        # these calls used a helper, not only a pool earlier tests left
         assert any(name.startswith("faradaymeter-span") for name in counters)
         assert 0 < max(helpers) <= estimator._MAX_WORKERS - 1
 
@@ -584,11 +598,11 @@ class TestBatch:
                 return Future()  # the work is dropped, as if no helper ever woke
 
         monkeypatch.setattr(estimator, "_pool", Idle())
-        # 2 _MIN_SPAN trials in all, so the batch asks for a helper
-        configs = sweep_configs(8, estimator._MIN_SPAN // 4)
-        reports = estimate_all(configs)
-        assert len(span_log) == 8
-        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
+        # 2 _MIN_SPAN draws, so the call asks for a helper
+        configs = sweep_configs(8, 2 * estimator._MIN_SPAN)
+        counts = counted(configs)
+        assert len(span_log) == 2
+        assert counts == [serial_counts(c) for c in configs]
 
     def test_the_caller_never_waits_for_a_queued_helper(self, span_log, monkeypatch):
         # every pool thread is held, so the helpers a split run asks for stay
@@ -638,7 +652,7 @@ class TestBatch:
 
         monkeypatch.setattr(estimator, "_count_span", failing_on_helpers)
         with pytest.raises(RuntimeError, match="helper failed"):
-            estimate_all(sweep_configs(8, estimator._MIN_SPAN // 4))
+            counted(sweep_configs(8, 2 * estimator._MIN_SPAN))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_starts_its_own_pool(self):
@@ -681,10 +695,10 @@ print(os.waitstatus_to_exitcode(status))
 
         monkeypatch.setattr(threading.Thread, "start", recording_start)
         configs = sweep_configs(8, 1)
-        reports = estimate_all(configs)
-        assert len(span_log) == 8
+        counts = counted(configs)
+        assert [(seed, lo, hi) for seed, lo, hi, *_ in span_log] == [(900, 0, 1)]
         assert started == []
-        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
+        assert counts == [serial_counts(c) for c in configs]
 
     def test_batches_under_two_min_spans_wake_no_helper(self, span_log, monkeypatch):
         started = []
@@ -695,12 +709,12 @@ print(os.waitstatus_to_exitcode(status))
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", recording_start)
-        configs = sweep_configs(8, 20_000)
-        reports = estimate_all(configs)
+        configs = sweep_configs(8, 2 * estimator._MIN_SPAN - 1)
+        counts = counted(configs)
         assert started == []
         caller = threading.current_thread().name
-        assert [counter for *_, counter, _ in span_log] == [caller] * 8
-        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
+        assert [counter for *_, counter, _ in span_log] == [caller]
+        assert counts == [serial_counts(c) for c in configs]
         # a run of 2 _MIN_SPAN trials is the shortest that splits
         span_log.clear()
         n = 2 * estimator._MIN_SPAN
@@ -716,19 +730,22 @@ print(os.waitstatus_to_exitcode(status))
             assert any(name.startswith("faradaymeter-span") for name in live)
 
     def test_long_run_in_a_batch_of_short_ones_is_split(self, spans):
+        # the runs read as many draws as the longest, and the short ones
+        # are counted in the first span
         short = estimator._MIN_SPAN // 4
-        configs = [skewed_config(SPLIT_TRIALS, 31)] + [skewed_config(short, s) for s in (32, 33, 34)]
-        reports = estimate_all(configs)
-        half = SPLIT_TRIALS // 2
-        assert sorted(spans) == sorted([(0, half), (half, SPLIT_TRIALS)] + [(0, short)] * 3)
-        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
+        configs = [skewed_config(short, 31), skewed_config(SPLIT_TRIALS, 31)]
+        configs += sweep_configs(3, short, seed=31)
+        counts = counted(configs)
+        bounds = [SPLIT_TRIALS * k // 3 for k in range(4)]
+        assert sorted(spans) == list(zip(bounds, bounds[1:]))
+        assert counts == [serial_counts(c) for c in configs]
 
     def test_concurrent_batches_get_serial_counts(self, spans):
         batches = [sweep_configs(3, 20_000, seed) + [skewed_config(SPLIT_TRIALS, seed)] for seed in (70, 80)]
         results = {}
 
         def call(index):
-            results[index] = estimate_all(batches[index])
+            results[index] = counted(batches[index])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -742,27 +759,29 @@ print(os.waitstatus_to_exitcode(status))
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         for index, batch in enumerate(batches):
-            assert [passes(report) for report in results[index]] == [serial_counts(c) for c in batch]
+            assert results[index] == [serial_counts(c) for c in batch]
 
     def test_memory_peak_is_flat_in_the_number_of_points(self, monkeypatch):
         # a draw buffer per point would hold 200 x 32 KiB at once
         monkeypatch.setattr(estimator, "_available_cpus", lambda: 64)
         configs = sweep_configs(200, 5000)
-        estimate_all(configs)
+        (seed,) = {config.master_seed for config in configs}
+        runs = [(*TrialSampler(c.state, c.phases).thresholds(0.8), c.n_trials) for c in configs]
+        estimator._count_runs(seed, runs)
         tracemalloc.start()
         try:
-            estimate_all(configs)
+            estimator._count_runs(seed, runs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
     def test_empty_batch(self):
-        assert estimate_all([]) == []
+        assert estimator._count_runs(5, []) == []
 
 
 def mixed_batch():
-    """Runs whose neighbours differ in state, in sigma, in eta_a or in length.
+    """Runs of one seed whose neighbours differ in state, in sigma, in eta_a or in length.
 
     States A, B, A (the second A an equal copy), one state at two sigmas, a
     theta point, a run of one trial and, last, a run of 2 ``_MIN_SPAN``
@@ -783,11 +802,11 @@ def mixed_batch():
         (SKEWED, 0.1, 0.9, 2 * estimator._MIN_SPAN),
     ]
     configs = [
-        TrialConfig(n, 500 + index, state, perturbed_phases(sigma),
+        TrialConfig(n, 500, state, perturbed_phases(sigma),
                     ImperfectionParams(eta_a=eta, sigma=sigma))
-        for index, (state, sigma, eta, n) in enumerate(runs)
+        for state, sigma, eta, n in runs
     ]
-    configs[2] = TrialConfig(20_000, 502, copy, rebuilt, ImperfectionParams(eta_a=0.8, sigma=0.1))
+    configs[2] = TrialConfig(20_000, 500, copy, rebuilt, ImperfectionParams(eta_a=0.8, sigma=0.1))
     return configs
 
 
@@ -796,39 +815,38 @@ class TestMixedBatch:
         configs = mixed_batch()
         caller = threading.current_thread().name
         half = estimator._MIN_SPAN
-        # the short runs count inline; with the long one the batch is dealt
+        # the short runs count inline; with the long one the call splits
         for batch in (configs[:-1], configs):
             span_log.clear()
-            reports = estimate_all(batch)
-            spans = [(seed, lo, hi) for seed, lo, hi, *_ in span_log]
+            counts = counted(batch)
+            spans = [(seed, lo, hi, counter) for seed, lo, hi, counter, _ in span_log]
+            assert counts == [passes(estimate(config)) for config in batch]
+            assert counts == [serial_counts(c) for c in batch]
             if batch is not configs:
-                assert [counter for *_, counter, _ in span_log] == [caller] * len(batch)
-            assert reports == [estimate(config) for config in batch]
-            assert [passes(report) for report in reports] == [serial_counts(c) for c in batch]
-        assert sorted(spans) == sorted(
-            [(c.master_seed, 0, c.n_trials) for c in configs[:-1]]
-            + [(507, 0, half), (507, half, 2 * half)]
-        )
+                assert spans == [(500, 0, 20_000, caller)]
+        assert sorted(span[:3] for span in spans) == [(500, 0, half), (500, half, 2 * half)]
 
     def test_a_batch_too_short_to_split_counts_inline(self, monkeypatch):
-        counted = []
+        spans = []
         count_span = estimator._count_span
 
         def recording(seed, runs, lo, hi):
-            counted.append((seed, lo, hi, threading.current_thread().name))
+            spans.append((seed, len(runs), lo, hi, threading.current_thread().name))
             return count_span(seed, runs, lo, hi)
 
         def no_cpu_count():
-            raise AssertionError("a batch that cannot split asked for the CPUs")
+            raise AssertionError("a call that cannot split asked for the CPUs")
 
         monkeypatch.setattr(estimator, "_count_span", recording)
         monkeypatch.setattr(estimator, "_available_cpus", no_cpu_count)
         configs = mixed_batch()[:-1]
-        reports = estimate_all(configs)
+        counts = counted(configs)
         caller = threading.current_thread().name
-        assert counted == [(c.master_seed, 0, c.n_trials, caller) for c in configs]
-        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
+        assert spans == [(500, len(configs), 0, 20_000, caller)]
+        assert counts == [serial_counts(c) for c in configs]
 
+    # a sweep builds its points' samplers itself, one per stretch of points
+    # of one state and phases
     def test_consecutive_runs_of_one_state_and_phases_share_a_sampler(self, monkeypatch):
         built = []
         stage_probabilities = estimator.stage_probabilities
@@ -838,20 +856,21 @@ class TestMixedBatch:
             return stage_probabilities(state, phases)
 
         monkeypatch.setattr(estimator, "stage_probabilities", recording)
-        phases = perturbed_phases(0.05)
-        etas = np.linspace(0.6, 1.0, 8)
-        configs = [
-            TrialConfig(20_000, 40 + index, SKEWED, phases,
-                        ImperfectionParams(eta_a=float(eta), sigma=0.05))
-            for index, eta in enumerate(etas)
-        ]
-        reports = estimate_all(configs)
-        assert built == [(SKEWED, phases)]
-        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
-        built.clear()
-        estimate_all(mixed_batch())
-        # A, B, A, then A at sigma 0.2 for two runs, theta, A twice more
-        assert len(built) == 7
+        state = {key: [amp.real, amp.imag]
+                 for key, amp in zip(("alpha", "beta", "gamma", "delta"), SKEWED.amplitudes())}
+        for sweep, samplers in [({"axis": "eta_a", "start": 0.6, "stop": 1.0}, 1),
+                                ({"axis": "trials", "start": 1000, "stop": 3000}, 1),
+                                ({"axis": "sigma", "start": 0.0, "stop": 0.3}, 8),
+                                ({"axis": "sigma", "start": 0.1, "stop": 0.1}, 1),
+                                ({"axis": "theta", "start": 0.0, "stop": 1.5}, 8)]:
+            document = {"mode": "sweep", "trials": 2000, "seed": 41, "eta_a": 0.8,
+                        "sigma": 0.05, "sweep": {**sweep, "steps": 8}}
+            if sweep["axis"] != "theta":
+                document["state"] = state
+            config = cli.parse_config(json.dumps(document))
+            built.clear()
+            cli._run_sweep(config)
+            assert len(built) == samplers, sweep
 
 
 def shared_seed_batch(kind, n, seed=910):
@@ -859,7 +878,7 @@ def shared_seed_batch(kind, n, seed=910):
 
     ``sigma`` and ``eta`` vary that input of the skewed state over 8 runs of
     ``n`` trials each; ``trials`` mixes lengths, from a run of 1 trial to
-    one of ``n``, in no order.
+    one of ``n``, in no order, all at one threshold pair.
     """
     if kind == "sigma":
         runs = [(float(sigma), 0.8, n) for sigma in np.linspace(0.0, 0.3, 8)]
@@ -889,7 +908,7 @@ def group_log(monkeypatch):
 
 
 class TestSharedSeed:
-    """Runs of one seed read its stream once per batch and report as each would alone."""
+    """Runs of one seed read its stream once per call and count as each would alone."""
 
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize(
@@ -900,44 +919,67 @@ class TestSharedSeed:
     def test_batch_reports_equal_lone_estimates(self, kind, n, cpus, group_log, monkeypatch):
         monkeypatch.setattr(estimator, "_available_cpus", lambda: cpus)
         configs = shared_seed_batch(kind, n)
-        reports = estimate_all(configs)
+        counts = counted(configs)
         spans = sorted(group_log)
-        # every span reads the stream for all the runs of the batch at once
+        # every span reads the stream for all the runs at once
         longest = max(config.n_trials for config in configs)
         blocks = longest // estimator._MIN_SPAN
         parts = min(cpus, blocks) if blocks >= 2 else 1
         bounds = [longest * k // parts for k in range(parts + 1)]
         assert spans == [(910, len(configs), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
-        assert reports == [estimate(config) for config in configs]
+        assert counts == [serial_counts(c) for c in configs]
+        assert counts == [passes(estimate(config)) for config in configs]
 
     def test_rows_along_eta_and_trials_never_lose_a_pass(self):
         # the runs share each draw, so a higher threshold or a longer run
         # counts every pass a lower or shorter one does
-        along_eta = [passes(report) for report in estimate_all(shared_seed_batch("eta", 20_000))]
+        along_eta = counted(shared_seed_batch("eta", 20_000))
         assert along_eta == sorted(along_eta)
         assert along_eta[0] < along_eta[-1]
         configs = sorted(shared_seed_batch("trials", 100_000), key=lambda c: c.n_trials)
-        along_trials = [passes(report) for report in estimate_all(configs)]
+        along_trials = counted(configs)
         assert along_trials == sorted(along_trials)
-
-    def test_seeds_are_grouped_wherever_their_runs_sit(self, group_log):
-        configs = [skewed_config(20_000, seed) for seed in (5, 6, 5, 7, 6, 5)]
-        reports = estimate_all(configs)
-        assert group_log == [(5, 3, 0, 20_000), (6, 2, 0, 20_000), (7, 1, 0, 20_000)]
-        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
 
     def test_a_long_batch_of_short_runs_of_one_seed_counts_inline(self, group_log, monkeypatch):
         def no_cpu_count():
-            raise AssertionError("a batch that reads too few draws to split asked for the CPUs")
+            raise AssertionError("a call that reads too few draws to split asked for the CPUs")
 
         monkeypatch.setattr(estimator, "_available_cpus", no_cpu_count)
         short = estimator._MIN_SPAN // 4
         configs = shared_seed_batch("sigma", short)
         assert sum(config.n_trials for config in configs) >= 2 * estimator._MIN_SPAN
-        reports = estimate_all(configs)
+        counts = counted(configs)
         assert group_log == [(910, 8, 0, short)]
-        assert [passes(report) for report in reports] == [serial_counts(c) for c in configs]
+        assert counts == [serial_counts(c) for c in configs]
+
+    @pytest.mark.parametrize("buffer", [7, 977, 4096])
+    def test_counts_do_not_depend_on_the_buffer_size(self, buffer, monkeypatch):
+        # runs end inside blocks, on block edges and several in one block
+        monkeypatch.setattr(estimator, "_BUFFER_TRIALS", buffer)
+        for configs in (shared_seed_batch("trials", 20_000), shared_seed_batch("sigma", 5000),
+                        mixed_batch()[:-1]):
+            assert counted(configs) == [serial_counts(c) for c in configs]
+
+    def test_runs_of_one_threshold_pair_compare_once_per_block(self, monkeypatch):
+        compares = []
+
+        class CountingNumpy:
+            def less(self, *args, **kwargs):
+                compares.append(args[1])
+                return np.less(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(estimator, "np", CountingNumpy())
+        # four blocks, the last of 5 draws, each compared against the pair once
+        n = 3 * estimator._BUFFER_TRIALS + 5
+        configs = shared_seed_batch("trials", n)
+        counts = counted(configs)
+        q1, q2 = TrialSampler(SKEWED, perturbed_phases(0.1)).thresholds(0.8)
+        assert compares == [q1, q2] * 4
+        monkeypatch.undo()
+        assert counts == [serial_counts(c) for c in configs]
 
 
 class TestTrialStream:
